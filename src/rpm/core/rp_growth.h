@@ -216,8 +216,9 @@ PreparedMining PrepareMining(const TransactionDatabase& db,
 
 /// Pass 2 only: builds the RP-tree of `db` over an externally supplied
 /// candidate order (every id in `items_by_rank` distinct and <
-/// db.ItemUniverseSize()). The streaming backend derives the order from
-/// StreamingRpList candidate maintenance instead of the batch RP-list.
+/// db.ItemUniverseSize()). PrepareMining passes the batch RP-list order;
+/// it is public so that benchmarks can time the build on its own and tests
+/// can compare builds across thread counts.
 /// With a budget, the build checkpoints per transaction and reports the
 /// growing tree's bytes (released again before returning — the caller
 /// re-tracks the finished tree for the mining phase); a stopped build

@@ -11,7 +11,7 @@
 // yields it without overflow.
 //
 // Shared by the batch measures (measures.cc), the RP-list scan
-// (rp_list.cc) and the streaming RP-list (streaming_rp_list.cc) so all
+// (rp_list.cc) and the incremental RP-list (windowed_rp_list.cc) so all
 // three agree bit-for-bit on boundary cases — a precondition of the
 // differential harness in src/rpm/verify/.
 

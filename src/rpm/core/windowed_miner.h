@@ -61,7 +61,7 @@
 #include "rpm/core/mining_params.h"
 #include "rpm/core/pattern.h"
 #include "rpm/core/rp_growth.h"
-#include "rpm/core/streaming_rp_list.h"
+#include "rpm/core/windowed_rp_list.h"
 #include "rpm/core/ts_merge.h"
 #include "rpm/timeseries/transaction_database.h"
 #include "rpm/timeseries/types.h"

@@ -1,4 +1,4 @@
-#include "rpm/core/streaming_rp_list.h"
+#include "rpm/core/windowed_rp_list.h"
 
 #include <algorithm>
 #include <limits>
@@ -7,118 +7,6 @@
 #include "rpm/core/time_gap.h"
 
 namespace rpm {
-
-StreamingRpList::StreamingRpList(Timestamp period, uint64_t min_ps)
-    : period_(period), min_ps_(min_ps), last_ts_(0) {
-  RPM_CHECK(period > 0);
-  RPM_CHECK(min_ps >= 1);
-}
-
-Status StreamingRpList::Observe(ItemId item, Timestamp ts) {
-  if (item == kInvalidItem) {
-    // The sentinel is not a real item; without this guard the resize
-    // below would wrap (item + 1 == 0 in 32 bits) and the state access
-    // would run off the end of states_.
-    return Status::InvalidArgument("item id " + std::to_string(item) +
-                                   " is the reserved invalid-item sentinel");
-  }
-  if (any_event_ && ts < last_ts_) {
-    return Status::InvalidArgument(
-        "out-of-order event: ts " + std::to_string(ts) + " after " +
-        std::to_string(last_ts_));
-  }
-  any_event_ = true;
-  last_ts_ = ts;
-  ++events_;
-  if (item >= states_.size()) states_.resize(static_cast<size_t>(item) + 1);
-
-  ItemState& s = states_[item];
-  if (s.open_ps == 0) {
-    // First occurrence.
-    s.support = 1;
-    s.open_ps = 1;
-    s.open_start = ts;
-    s.idl = ts;
-    return Status::OK();
-  }
-  if (ts == s.idl) return Status::OK();  // Duplicate within a transaction.
-  ++s.support;
-  if (GapWithinPeriod(s.idl, ts, period_)) {
-    ++s.open_ps;
-  } else {
-    // Close the run (Algorithm 1 lines 10-11, plus interval bookkeeping).
-    s.erec_closed += s.open_ps / min_ps_;
-    if (s.open_ps >= min_ps_) {
-      s.closed_interesting.push_back({s.open_start, s.idl, s.open_ps});
-    }
-    s.open_ps = 1;
-    s.open_start = ts;
-  }
-  s.idl = ts;
-  return Status::OK();
-}
-
-Status StreamingRpList::ObserveTransaction(Timestamp ts,
-                                           const Itemset& items) {
-  // Validate before mutating anything so a rejected transaction leaves no
-  // partial state behind (Observe can only fail on these two checks).
-  for (ItemId item : items) {
-    if (item == kInvalidItem) {
-      return Status::InvalidArgument(
-          "item id " + std::to_string(item) +
-          " is the reserved invalid-item sentinel");
-    }
-  }
-  if (any_event_ && ts < last_ts_) {
-    return Status::InvalidArgument(
-        "out-of-order event: ts " + std::to_string(ts) + " after " +
-        std::to_string(last_ts_));
-  }
-  for (ItemId item : items) {
-    RPM_RETURN_NOT_OK(Observe(item, ts));
-  }
-  return Status::OK();
-}
-
-uint64_t StreamingRpList::SupportOf(ItemId item) const {
-  const ItemState* s = Find(item);
-  return s != nullptr ? s->support : 0;
-}
-
-uint64_t StreamingRpList::ErecOf(ItemId item) const {
-  const ItemState* s = Find(item);
-  if (s == nullptr) return 0;
-  return s->erec_closed + s->open_ps / min_ps_;
-}
-
-const std::vector<PeriodicInterval>& StreamingRpList::ClosedIntervalsOf(
-    ItemId item) const {
-  const ItemState* s = Find(item);
-  return s != nullptr ? s->closed_interesting : empty_;
-}
-
-PeriodicInterval StreamingRpList::OpenRunOf(ItemId item) const {
-  const ItemState* s = Find(item);
-  if (s == nullptr) return {0, 0, 0};
-  return {s->open_start, s->idl, s->open_ps};
-}
-
-uint64_t StreamingRpList::RecurrenceOf(ItemId item) const {
-  const ItemState* s = Find(item);
-  if (s == nullptr) return 0;
-  return s->closed_interesting.size() + (s->open_ps >= min_ps_ ? 1 : 0);
-}
-
-std::vector<ItemId> StreamingRpList::CandidateItems(
-    uint64_t min_rec) const {
-  std::vector<ItemId> out;
-  for (ItemId item = 0; item < states_.size(); ++item) {
-    if (states_[item].open_ps > 0 && ErecOf(item) >= min_rec) {
-      out.push_back(item);
-    }
-  }
-  return out;
-}
 
 WindowedRpList::WindowedRpList(Timestamp period, uint64_t min_ps)
     : period_(period),

@@ -1,103 +1,27 @@
-// Online (streaming) maintenance of the RP-list over an append-only event
-// stream — Algorithm 1 as an incremental structure.
+// Incremental RP-list: Algorithm 1 maintained per item over a stream of
+// appended events, with optional expiry of a time-ordered prefix.
 //
 // A monitoring deployment (the paper's network-administration use case)
-// cannot re-scan history on every event. StreamingRpList ingests events in
-// timestamp order and maintains, per item: support, the current periodic
-// run, accumulated Erec, and the closed interesting intervals so far —
-// enough to (a) answer "which items could currently be recurring" without
-// a scan, and (b) seed a full RP-growth run over stored history when an
-// item becomes interesting.
+// cannot re-scan history on every event. WindowedRpList ingests events in
+// timestamp order and keeps, per item, the ts-list column, support, Erec
+// and the interesting intervals exact for the live window — enough to
+// (a) answer "which items could currently be recurring" without a scan,
+// and (b) feed the sliding-window miner (windowed_miner.h). Never calling
+// ExpireBefore makes the window unbounded, i.e. an append-only stream.
 
-#ifndef RPM_CORE_STREAMING_RP_LIST_H_
-#define RPM_CORE_STREAMING_RP_LIST_H_
+#ifndef RPM_CORE_WINDOWED_RP_LIST_H_
+#define RPM_CORE_WINDOWED_RP_LIST_H_
 
 #include <cstddef>
 #include <deque>
 #include <vector>
 
 #include "rpm/common/status.h"
-#include "rpm/core/mining_params.h"
 #include "rpm/core/pattern.h"
 #include "rpm/core/ts_merge.h"
 #include "rpm/timeseries/types.h"
 
 namespace rpm {
-
-/// Incremental per-item recurrence summary. Events must arrive in
-/// non-decreasing timestamp order.
-class StreamingRpList {
- public:
-  /// `period` > 0, `min_ps` >= 1 (checked).
-  StreamingRpList(Timestamp period, uint64_t min_ps);
-
-  /// Ingests one event. InvalidArgument if `ts` precedes the newest
-  /// timestamp already observed (the stream contract) or `item` is the
-  /// kInvalidItem sentinel. Re-observing an item at its current newest
-  /// timestamp is a no-op, so duplicates within a transaction count once —
-  /// matching what batch Algorithm 1 sees after TdbBuilder deduplication.
-  Status Observe(ItemId item, Timestamp ts);
-
-  /// Ingests all items of one transaction at `ts`. `items` need not be
-  /// sorted or duplicate-free (duplicates count once). Validates the whole
-  /// transaction up front: on error nothing is ingested.
-  Status ObserveTransaction(Timestamp ts, const Itemset& items);
-
-  /// Items observed so far (upper bound on ids + 1).
-  size_t ItemUniverseSize() const { return states_.size(); }
-
-  /// Support of `item` so far (0 if unseen).
-  uint64_t SupportOf(ItemId item) const;
-
-  /// Erec including the still-open run — identical to what Algorithm 1
-  /// would report after its final flush if the stream ended now.
-  uint64_t ErecOf(ItemId item) const;
-
-  /// Interesting intervals already *closed* by an over-period gap. The
-  /// currently-open run is reported by OpenRunOf.
-  const std::vector<PeriodicInterval>& ClosedIntervalsOf(ItemId item) const;
-
-  /// The open run of `item` as an interval (ps counts its appearances);
-  /// periodic_support == 0 when the item is unseen.
-  PeriodicInterval OpenRunOf(ItemId item) const;
-
-  /// Recurrence so far: closed interesting intervals, plus the open run if
-  /// it already qualifies.
-  uint64_t RecurrenceOf(ItemId item) const;
-
-  /// Items whose current Erec reaches `min_rec` — the candidate set an
-  /// RP-growth run over stored history would use.
-  std::vector<ItemId> CandidateItems(uint64_t min_rec) const;
-
-  Timestamp period() const { return period_; }
-  uint64_t min_ps() const { return min_ps_; }
-  Timestamp last_timestamp() const { return last_ts_; }
-  uint64_t events_observed() const { return events_; }
-
- private:
-  struct ItemState {
-    uint64_t support = 0;
-    uint64_t erec_closed = 0;     // Runs already terminated.
-    uint64_t open_ps = 0;         // 0 == unseen.
-    Timestamp open_start = 0;
-    Timestamp idl = 0;            // Last appearance.
-    std::vector<PeriodicInterval> closed_interesting;
-  };
-
-  const ItemState* Find(ItemId item) const {
-    return item < states_.size() && states_[item].open_ps > 0
-               ? &states_[item]
-               : nullptr;
-  }
-
-  Timestamp period_;
-  uint64_t min_ps_;
-  Timestamp last_ts_;
-  bool any_event_ = false;
-  uint64_t events_ = 0;
-  std::vector<ItemState> states_;
-  std::vector<PeriodicInterval> empty_;
-};
 
 /// Maintenance counters for WindowedRpList, cumulative over its lifetime.
 /// All are schedule-invariant: a given sequence of Append / ExpireBefore /
@@ -109,14 +33,14 @@ struct WindowedRpListCounters {
   uint64_t compactions = 0;          ///< Compact() calls that reclaimed.
 };
 
-/// Per-item ts-list columns over a time-sliding window — the windowed
-/// counterpart of StreamingRpList. Supports tail append (amortized O(1)
-/// per event; an append extends the item's newest periodic run or opens a
-/// new one, exactly the single-run merge of ts_merge.h specialized to one
-/// element) *and* head expiry (amortized O(1) per retired event), while
-/// keeping support / Erec / interesting intervals exact for the live
-/// suffix: after any call sequence the aggregates equal what a batch
-/// Algorithm 1 scan over the live window contents would report.
+/// Per-item ts-list columns over a time-sliding window. Supports tail
+/// append (amortized O(1) per event; an append extends the item's newest
+/// periodic run or opens a new one, exactly the single-run merge of
+/// ts_merge.h specialized to one element) *and* head expiry (amortized
+/// O(1) per retired event), while keeping support / Erec / interesting
+/// intervals exact for the live suffix: after any call sequence the
+/// aggregates equal what a batch Algorithm 1 scan over the live window
+/// contents would report.
 ///
 /// Expiry is lazy: retired timestamps stay in the column as a tombstoned
 /// prefix [0, head) until Compact() reclaims the storage, so ExpireBefore
@@ -226,4 +150,4 @@ class WindowedRpList {
 
 }  // namespace rpm
 
-#endif  // RPM_CORE_STREAMING_RP_LIST_H_
+#endif  // RPM_CORE_WINDOWED_RP_LIST_H_

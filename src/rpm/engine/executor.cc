@@ -11,7 +11,6 @@
 #include "rpm/core/cancellation.h"
 #include "rpm/core/pattern_filters.h"
 #include "rpm/core/rp_list.h"
-#include "rpm/core/streaming_rp_list.h"
 #include "rpm/core/top_k.h"
 #include "rpm/core/windowed_miner.h"
 
@@ -200,97 +199,6 @@ class ParallelExecutor : public Executor {
   }
 };
 
-class StreamingExecutor : public Executor {
- public:
-  const char* name() const override {
-    return BackendName(BackendKind::kStreaming);
-  }
-
-  Result<QueryResult> Execute(QueryPlanner& planner, const Query& query,
-                              const ExecOptions&) const override {
-    RPM_RETURN_NOT_OK(query.Validate());
-    if (query.params.max_gap_violations > 0) {
-      return Status::InvalidArgument(
-          "streaming backend implements the exact model only "
-          "(--tolerance must be 0)");
-    }
-    if (query.top_k > 0) {
-      return Status::InvalidArgument(
-          "streaming backend does not support top-k queries");
-    }
-    Stopwatch total;
-    QueryResult out;
-    out.backend = name();
-    const TransactionDatabase& db = planner.snapshot().db();
-    std::unique_ptr<QueryBudget> budget_storage = MakeBudget(query);
-    QueryBudget* budget = budget_storage.get();
-
-    try {
-      // "Plan" = incremental ingestion in place of the batch RP-list scan,
-      // then tree construction over the stream-derived candidate order.
-      // Sorting candidates by (support desc, id asc) reproduces the batch
-      // RP-list order exactly (streaming support/Erec match Algorithm 1 per
-      // the verify harness), so the tree — and everything downstream — is
-      // bit-identical to the batch backends.
-      Stopwatch plan_clock;
-      PreparedMining prepared;
-      prepared.params = query.params;
-      prepared.pruning = PruningMode::kErec;
-      Stopwatch phase;
-      StreamingRpList stream(query.params.period, query.params.min_ps);
-      BudgetCheckpointer checkpoint(budget);
-      for (const Transaction& tr : db.transactions()) {
-        // A partial stream's candidate set is not a prefix of anything
-        // meaningful, so a stop here yields a deterministic EMPTY result
-        // (flagged below), never a partially-ingested mine.
-        if (checkpoint.Check()) break;
-        RPM_RETURN_NOT_OK(stream.ObserveTransaction(tr.ts, tr.items));
-      }
-      prepared.list_seconds = phase.ElapsedSeconds();
-      if (budget == nullptr || !budget->hard_stopped()) {
-        for (ItemId item = 0; item < stream.ItemUniverseSize(); ++item) {
-          if (stream.SupportOf(item) > 0) ++prepared.num_items;
-        }
-        prepared.items_by_rank = stream.CandidateItems(query.params.min_rec);
-        std::sort(prepared.items_by_rank.begin(), prepared.items_by_rank.end(),
-                  [&](ItemId a, ItemId b) {
-                    const uint64_t sa = stream.SupportOf(a);
-                    const uint64_t sb = stream.SupportOf(b);
-                    return sa != sb ? sa > sb : a < b;
-                  });
-        prepared.num_candidate_items = prepared.items_by_rank.size();
-        phase.Restart();
-        prepared.tree = BuildRankedTree(db, prepared.items_by_rank, budget);
-        prepared.initial_tree_nodes = prepared.tree.NodeCount();
-        prepared.tree_seconds = phase.ElapsedSeconds();
-      }
-      out.plan_seconds = plan_clock.ElapsedSeconds();
-
-      if (budget != nullptr && budget->hard_stopped()) {
-        out.truncated = true;
-      } else {
-        Stopwatch exec_clock;
-        RpGrowthResult mined = MineFromPrepared(
-            prepared, std::move(prepared.tree), query.params,
-            GrowthOptions(query, /*num_threads=*/1, budget));
-        out.patterns = std::move(mined.patterns);
-        out.stats = mined.stats;
-        out.truncated = mined.truncated;
-        ApplyFilters(db, query, &out.patterns);
-        out.execute_seconds = exec_clock.ElapsedSeconds();
-      }
-    } catch (...) {
-      AbsorbException(&out);
-    }
-
-    FinishGoverned(budget, &out);
-    out.session_tree_builds = planner.tree_builds();
-    out.total_seconds = total.ElapsedSeconds();
-    out.stats.total_seconds = out.total_seconds;
-    return out;
-  }
-};
-
 /// Replays the snapshot in delta-sized batches through the incremental
 /// sliding-window miner and reports the final live window's committed
 /// set. On a budget stop mid-stream, the committed set of the prefix of
@@ -385,8 +293,6 @@ const char* BackendName(BackendKind kind) {
       return "sequential";
     case BackendKind::kParallel:
       return "parallel";
-    case BackendKind::kStreaming:
-      return "streaming";
     case BackendKind::kWindowed:
       return "windowed";
   }
@@ -396,23 +302,19 @@ const char* BackendName(BackendKind kind) {
 Result<BackendKind> ParseBackend(const std::string& name) {
   if (name == "sequential") return BackendKind::kSequential;
   if (name == "parallel") return BackendKind::kParallel;
-  if (name == "streaming") return BackendKind::kStreaming;
   if (name == "windowed") return BackendKind::kWindowed;
   return Status::InvalidArgument(
       "unknown backend '" + name +
-      "' (expected sequential, parallel, streaming or windowed)");
+      "' (expected sequential, parallel or windowed)");
 }
 
 const Executor& GetExecutor(BackendKind kind) {
   static const SequentialExecutor sequential;
   static const ParallelExecutor parallel;
-  static const StreamingExecutor streaming;
   static const WindowedExecutor windowed;
   switch (kind) {
     case BackendKind::kParallel:
       return parallel;
-    case BackendKind::kStreaming:
-      return streaming;
     case BackendKind::kWindowed:
       return windowed;
     case BackendKind::kSequential:

@@ -8,8 +8,6 @@
 //   sequential — the single-threaded reference path.
 //   parallel   — suffix projections mined on a worker pool (PR-1 pool);
 //                schedule-invariant counters match sequential exactly.
-//   streaming  — RP-list replaced by incremental StreamingRpList
-//                ingestion; exact model only (tolerance=0, no top-k).
 //   windowed   — the snapshot replayed in Query::delta-sized batches
 //                through the incremental sliding-window miner
 //                (core/windowed_miner.h); the result is the final live
@@ -31,9 +29,9 @@
 
 namespace rpm::engine {
 
-enum class BackendKind { kSequential, kParallel, kStreaming, kWindowed };
+enum class BackendKind { kSequential, kParallel, kWindowed };
 
-/// "sequential" / "parallel" / "streaming" / "windowed".
+/// "sequential" / "parallel" / "windowed".
 const char* BackendName(BackendKind kind);
 
 /// Inverse of BackendName; InvalidArgument on anything else.
@@ -42,7 +40,7 @@ Result<BackendKind> ParseBackend(const std::string& name);
 struct ExecOptions {
   /// Parallel-backend worker count: 0 = one per hardware thread, values
   /// <= 1 are promoted to 2 (a parallel run uses workers by definition).
-  /// Ignored by the sequential and streaming backends.
+  /// Ignored by the sequential and windowed backends.
   size_t threads = 0;
 };
 
@@ -57,8 +55,8 @@ class Executor {
   /// Runs `query` against the planner's snapshot. The planner supplies
   /// (and caches) the RP-list/RP-tree build; execution clones the cached
   /// tree, so the planner's state is never consumed. Errors: invalid
-  /// query, or a query outside this backend's model (streaming with
-  /// tolerance or top-k).
+  /// query, or a query outside this backend's model (windowed with
+  /// tolerance, top-k or no window).
   virtual Result<QueryResult> Execute(QueryPlanner& planner,
                                       const Query& query,
                                       const ExecOptions& options) const = 0;

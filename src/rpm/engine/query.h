@@ -2,7 +2,7 @@
 // of the engine's data/query lifecycle split (DESIGN.md §6).
 //
 // A Query says WHAT to mine (thresholds, pattern filters, top-k, sink); an
-// Executor (executor.h) decides HOW (sequential, parallel, streaming); the
+// Executor (executor.h) decides HOW (sequential, parallel, windowed); the
 // QueryPlanner (query_planner.h) decides what build work can be skipped.
 // Every backend returns the same QueryResult shape, so callers — the CLI,
 // the verify harness, analysis reports, benches — consume one interface.
@@ -85,7 +85,7 @@ struct QueryResult {
   /// is unaffected — see query_planner.h for the soundness argument).
   RpGrowthStats stats;
   /// Executor that produced this result ("sequential", "parallel",
-  /// "streaming").
+  /// "windowed").
   std::string backend;
   /// True when the planner served the RP-list/RP-tree from its session
   /// cache instead of building them for this query.

@@ -260,7 +260,7 @@ int CmdMine(int argc, const char* const* argv, std::ostream& out,
                    "1 = sequential); results are identical either way",
                    &threads);
   parser.AddString("backend", "",
-                   "executor: sequential|parallel|streaming|windowed "
+                   "executor: sequential|parallel|windowed "
                    "(default: sequential, parallel when --threads != 1)",
                    &backend_name);
   parser.AddString("queries", "",
@@ -646,7 +646,7 @@ int CmdVerify(int argc, const char* const* argv, std::ostream& out,
   FlagParser parser("rpminer verify",
                     "differential correctness harness: randomized cases "
                     "cross-checked against the definitional oracle, the "
-                    "parallel miner, the streaming RP-list and the query "
+                    "parallel miner, the incremental RP-list and the query "
                     "engine");
   uint64_t cases = 200, seed = 7, threads = 4, max_failures = 5;
   uint64_t faults = 0, fault_ppm = 20000;
@@ -673,7 +673,8 @@ int CmdVerify(int argc, const char* const* argv, std::ostream& out,
   parser.AddBool("no-parallel", false,
                  "skip the sequential-vs-parallel check", &no_parallel);
   parser.AddBool("no-streaming", false,
-                 "skip the streaming-vs-batch RP-list check", &no_streaming);
+                 "skip the incremental-vs-batch RP-list check",
+                 &no_streaming);
   parser.AddBool("no-engine", false,
                  "skip the query-engine purity/reuse check", &no_engine);
   parser.AddBool("no-windowed", false,

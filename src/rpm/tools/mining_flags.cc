@@ -87,8 +87,7 @@ Result<ParsedQueryLine> ParseMiningQuery(const std::string& line,
   std::string backend_name = "sequential";
   uint64_t threads = 0;
   parser.AddString("backend", backend_name,
-                   "executor: sequential|parallel|streaming|windowed",
-                   &backend_name);
+                   "executor: sequential|parallel|windowed", &backend_name);
   parser.AddUint64("threads", threads,
                    "parallel-backend workers (0 = hardware threads)",
                    &threads);

@@ -65,7 +65,7 @@ struct ParsedQueryLine {
 };
 
 /// Parses one --queries file line — the `rpminer mine` threshold flags
-/// plus `--backend=sequential|parallel|streaming` and `--threads=N` —
+/// plus `--backend=sequential|parallel|windowed` and `--threads=N` —
 /// with exactly the shared defaults and minPS resolution. Tokens are
 /// whitespace-separated (no quoting; `--flag=value` form recommended).
 /// The caller strips blank lines and '#' comments.

@@ -84,8 +84,8 @@ RpParams RandomParams(Rng* rng, Timestamp period) {
   params.min_ps = 1 + rng->NextUint64(4);
   params.min_rec = 1 + rng->NextUint64(3);
   // Tolerant mode every fifth draw or so: a different bound and interval
-  // logic worth differential coverage (streaming implements only the
-  // exact model; the cross-checker skips check (c) for these).
+  // logic worth differential coverage (the incremental RP-list implements
+  // only the exact model; the cross-checker skips check (c) for these).
   params.max_gap_violations =
       rng->NextBernoulli(0.2) ? 1 + static_cast<uint32_t>(rng->NextUint64(2))
                               : 0;

@@ -13,7 +13,7 @@
 #include "rpm/core/ts_block.h"
 #include "rpm/core/rp_growth.h"
 #include "rpm/core/rp_list.h"
-#include "rpm/core/streaming_rp_list.h"
+#include "rpm/core/windowed_rp_list.h"
 #include "rpm/core/windowed_miner.h"
 #include "rpm/engine/session.h"
 
@@ -227,15 +227,20 @@ void CheckSimd(const TransactionDatabase& db, const RpParams& params,
   }
 }
 
+/// Check (c): WindowedRpList with an unbounded window (every transaction
+/// appended, ExpireBefore never called) vs batch Algorithm 1, per item.
 void CheckStreaming(const TransactionDatabase& db, const RpParams& params,
                     Collector* out) {
-  StreamingRpList stream(params.period, params.min_ps);
+  WindowedRpList stream(params.period, params.min_ps);
   for (const Transaction& tr : db.transactions()) {
-    Status s = stream.ObserveTransaction(tr.ts, tr.items);
-    if (!s.ok()) {
-      out->Add("ObserveTransaction(ts=" + std::to_string(tr.ts) +
-               ") rejected a valid transaction: " + s.message());
-      return;
+    for (ItemId item : tr.items) {
+      Status s = stream.Append(item, tr.ts);
+      if (!s.ok()) {
+        out->Add("Append(item=" + std::to_string(item) +
+                 ", ts=" + std::to_string(tr.ts) +
+                 ") rejected a valid event: " + s.message());
+        return;
+      }
     }
   }
 
@@ -245,40 +250,48 @@ void CheckStreaming(const TransactionDatabase& db, const RpParams& params,
     const std::string tag = "item " + std::to_string(item);
     if (stream.SupportOf(item) != entry.support) {
       out->Add(tag + ": support " + std::to_string(stream.SupportOf(item)) +
-               " (streaming) vs " + std::to_string(entry.support) +
+               " (incremental) vs " + std::to_string(entry.support) +
                " (batch)");
     }
     if (stream.ErecOf(item) != entry.erec) {
       out->Add(tag + ": erec " + std::to_string(stream.ErecOf(item)) +
-               " (streaming) vs " + std::to_string(entry.erec) + " (batch)");
+               " (incremental) vs " + std::to_string(entry.erec) +
+               " (batch)");
     }
-    // Reconstruct IPI^{item} from the streaming state: the closed
-    // interesting intervals plus the open run when it already qualifies.
-    std::vector<PeriodicInterval> streamed = stream.ClosedIntervalsOf(item);
-    PeriodicInterval open = stream.OpenRunOf(item);
-    if (open.periodic_support >= params.min_ps) streamed.push_back(open);
-    std::vector<PeriodicInterval> expected = FindInterestingIntervals(
-        db.TimestampsOf({item}), params.period, params.min_ps);
+    const TimestampList batch_ts = db.TimestampsOf({item});
+    const TsRun live = stream.LiveTimestamps(item);
+    if (live.size != batch_ts.size() ||
+        !std::equal(batch_ts.begin(), batch_ts.end(), live.data)) {
+      out->Add(tag + ": live ts-list of " + std::to_string(live.size) +
+               " timestamps differs from the batch ts-list of " +
+               std::to_string(batch_ts.size()));
+    }
+    const std::vector<PeriodicInterval> streamed =
+        stream.InterestingIntervalsOf(item);
+    const std::vector<PeriodicInterval> expected =
+        FindInterestingIntervals(batch_ts, params.period, params.min_ps);
     if (streamed != expected) {
       out->Add(tag + ": intervals " + IntervalsToString(streamed) +
-               " (streaming) vs " + IntervalsToString(expected) + " (batch)");
+               " (incremental) vs " + IntervalsToString(expected) +
+               " (batch)");
     }
     if (stream.RecurrenceOf(item) != expected.size()) {
       out->Add(tag + ": recurrence " +
                std::to_string(stream.RecurrenceOf(item)) +
-               " (streaming) vs " + std::to_string(expected.size()) +
+               " (incremental) vs " + std::to_string(expected.size()) +
                " (batch)");
     }
   }
 
-  std::vector<ItemId> stream_cand = stream.CandidateItems(params.min_rec);
-  std::sort(stream_cand.begin(), stream_cand.end());
+  // CandidateItems promises ascending id order, so no sort on that side.
+  const std::vector<ItemId> stream_cand =
+      stream.CandidateItems(params.min_rec);
   std::vector<ItemId> batch_cand;
   for (const RpListEntry& e : batch.candidates()) batch_cand.push_back(e.item);
   std::sort(batch_cand.begin(), batch_cand.end());
   if (stream_cand != batch_cand) {
     out->Add("candidate set: " + ItemsetToString(stream_cand) +
-             " (streaming) vs " + ItemsetToString(batch_cand) + " (batch)");
+             " (incremental) vs " + ItemsetToString(batch_cand) + " (batch)");
   }
 }
 
@@ -318,18 +331,6 @@ void CheckEngine(const TransactionDatabase& db, const RpParams& params,
                     "direct", out);
     if (!parallel->tree_reused) {
       out->Add("parallel backend rebuilt the tree the session had cached");
-    }
-  }
-
-  // Streaming implements the exact model only.
-  if (params.max_gap_violations == 0) {
-    Result<engine::QueryResult> streaming =
-        session.Run(query, engine::BackendKind::kStreaming);
-    if (!streaming.ok()) {
-      out->Add("streaming backend failed: " + streaming.status().ToString());
-    } else {
-      DiffPatternSets(streaming->patterns, seq.patterns, "engine-streaming",
-                      "direct", out);
     }
   }
 
@@ -494,7 +495,7 @@ std::vector<Divergence> CrossCheckCase(const TransactionDatabase& db,
     CompareInvariantStats(seq.stats, par.stats, &out);
   }
 
-  // The streaming structure implements the exact model only.
+  // The incremental RP-list implements the exact model only.
   if (options.check_streaming && params.max_gap_violations == 0) {
     Collector out("streaming", options.max_divergences_per_check,
                   &divergences);

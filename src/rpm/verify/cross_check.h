@@ -2,23 +2,24 @@
 //
 // Three independent implementations of the paper's semantics exist in this
 // codebase: the definitional oracle (brute_force.h), sequential/parallel
-// RP-growth (rp_growth.h) and the streaming RP-list
-// (streaming_rp_list.h). CrossCheckCase runs a case through all of them
+// RP-growth (rp_growth.h) and the incremental RP-list
+// (windowed_rp_list.h). CrossCheckCase runs a case through all of them
 // and reports every observable disagreement:
 //
 //   (a) oracle      — sequential RP-growth output vs MineByDefinition,
 //                     pattern-by-pattern (items, support, interval list);
 //   (b) parallel    — parallel RP-growth vs sequential: identical pattern
 //                     sets AND identical schedule-invariant stats counters;
-//   (c) streaming   — StreamingRpList fed transaction-by-transaction vs
-//                     batch Algorithm 1: per-item support, Erec,
-//                     reconstructed interesting intervals and the
+//   (c) streaming   — WindowedRpList with an unbounded window (every
+//                     transaction appended, nothing expired) vs batch
+//                     Algorithm 1: per-item support, Erec, interesting
+//                     intervals, recurrence and live ts-list, and the
 //                     candidate-item set. Exact model only (skipped when
 //                     params.max_gap_violations > 0).
 //   (d) engine      — the query engine (engine/session.h) over one shared
-//                     snapshot: every backend's QueryResult vs the direct
-//                     sequential run (patterns AND schedule-invariant
-//                     counters), plus the planner's loose->strict tree
+//                     snapshot: the sequential and parallel backends'
+//                     QueryResults vs the direct sequential run
+//                     (patterns AND schedule-invariant counters), plus the planner's loose->strict tree
 //                     reuse vs a fresh stricter run — reused results must
 //                     be bit-identical and reuse must actually trigger.
 //   (e) simd        — the columnar gate kernels (core/ts_block.h) vs the

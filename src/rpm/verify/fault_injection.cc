@@ -440,7 +440,6 @@ FaultCampaignReport RunFaultCampaign(const FaultCampaignOptions& options) {
     const std::vector<RecurringPattern> truth =
         std::move(truth_run.ValueOrDie().patterns);
 
-    const bool streaming_ok = vcase.params.max_gap_violations == 0;
     const Query governed = CampaignQuery(vcase.params);
     size_t recoveries = 0;
     {
@@ -462,13 +461,6 @@ FaultCampaignReport RunFaultCampaign(const FaultCampaignOptions& options) {
                         ? 1
                         : 0;
       ++report.faulted_operations;
-      if (streaming_ok) {
-        recoveries += CheckArmedQuery(ctx, session, governed,
-                                      BackendKind::kStreaming, {}, truth)
-                          ? 1
-                          : 0;
-        ++report.faulted_operations;
-      }
       // Counters were reset by this scope's Arm, so this is the trial's
       // own fire count.
       report.faults_injected += injector.fires();

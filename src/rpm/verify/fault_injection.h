@@ -149,7 +149,7 @@ struct FaultCampaignReport {
 
 /// Runs `trials` deterministic fault trials: each generates a verify case,
 /// records disarmed ground truth, then runs I/O round-trips and
-/// sequential/parallel/streaming queries with the injector armed —
+/// sequential/parallel queries with the injector armed —
 /// asserting every injected fault surfaces as a clean Status (or governed
 /// truncation) and that a disarmed rerun on the same session still matches
 /// ground truth (no poisoned planner cache).

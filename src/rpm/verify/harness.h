@@ -1,5 +1,5 @@
 // Top-level differential-verification harness: generate N seeded cases,
-// cross-check each against the oracle / parallel / streaming
+// cross-check each against the oracle / parallel / incremental
 // implementations, and shrink every failing case to a minimal
 // ready-to-paste fixture.
 //
@@ -55,7 +55,8 @@ struct VerifyReport {
   uint64_t cases_run = 0;
   uint64_t oracle_checks = 0;
   uint64_t parallel_checks = 0;
-  /// Streaming checks actually executed (tolerant-mode cases skip it).
+  /// Incremental RP-list checks (c) actually executed (tolerant-mode
+  /// cases skip it).
   uint64_t streaming_checks = 0;
   /// Query-engine purity/reuse checks executed.
   uint64_t engine_checks = 0;

@@ -311,22 +311,23 @@ TEST(CliTest, MineQueriesSharesOneTreeBuildAcrossBackends) {
       "--per=2 --min-ps=3 --min-rec=2\n"
       "\n"
       "--per=2 --min-ps=4 --min-rec=2 --backend=parallel --threads=2\n"
-      "--per=2 --min-ps=3 --min-rec=3 --backend=streaming\n");
+      "--per=2 --min-ps=3 --min-rec=3 --backend=windowed --window=100\n");
   std::string out, err;
   ASSERT_EQ(RunCli({"rpminer", "mine", "--input", path.c_str(), "--queries",
                  queries.c_str()},
                 &out, &err),
             0)
       << err;
-  // One snapshot, one build; the streaming backend builds its own
-  // structures outside the planner so it neither reuses nor adds builds.
+  // One snapshot, one build; the windowed backend keeps its own
+  // incremental state outside the planner so it neither reuses nor adds
+  // builds.
   EXPECT_NE(err.find("3 queries against one snapshot, 1 tree build(s)"),
             std::string::npos)
       << err;
   EXPECT_NE(out.find("\"tree_builds\": 1"), std::string::npos);
   EXPECT_NE(out.find("\"tree_reused\": true"), std::string::npos);
   EXPECT_NE(out.find("\"backend\": \"parallel\""), std::string::npos);
-  EXPECT_NE(out.find("\"backend\": \"streaming\""), std::string::npos);
+  EXPECT_NE(out.find("\"backend\": \"windowed\""), std::string::npos);
   std::remove(path.c_str());
   std::remove(queries.c_str());
 }
@@ -389,9 +390,10 @@ TEST(CliTest, MineQueriesRejectsEmptyFileAndBadBackendModel) {
             2);
   EXPECT_NE(err.find("no query lines"), std::string::npos);
 
-  // Streaming is exact-model only; the error carries the line number.
+  // Windowed is exact-model only; the error carries the line number.
   std::string tolerant = WriteQueriesFile(
-      "--per=2 --min-ps=3 --min-rec=2 --tolerance=1 --backend=streaming\n");
+      "--per=2 --min-ps=3 --min-rec=2 --tolerance=1 --backend=windowed "
+      "--window=100\n");
   EXPECT_EQ(RunCli({"rpminer", "mine", "--input", path.c_str(), "--queries",
                  tolerant.c_str()},
                 &out, &err),
@@ -411,7 +413,8 @@ TEST(CliTest, VerifyFixedParamsPinsEveryCase) {
       << err;
   EXPECT_NE(out.find("result: OK"), std::string::npos);
   EXPECT_NE(out.find("engine 6"), std::string::npos);
-  // Streaming runs on every case too: fixed params are exact-model.
+  // The incremental RP-list check (c) runs on every case too: fixed
+  // params are exact-model.
   EXPECT_NE(out.find("streaming 6"), std::string::npos);
 }
 

@@ -205,35 +205,6 @@ TEST(ExecutorTest, ParallelBackendMatchesSequentialAndReusesTree) {
   EXPECT_GE(par->stats.threads_used, 2u);
 }
 
-TEST(ExecutorTest, StreamingBackendMatchesBatchInExactModel) {
-  for (uint64_t seed = 51; seed <= 53; ++seed) {
-    TransactionDatabase db = MakeRandomDb(RandomDbSpec{}, seed);
-    RpParams params = PaperExampleParams();
-    RpGrowthResult fresh = MineRecurringPatterns(db, params);
-
-    QuerySession session(DatasetSnapshot::Create(db));
-    Result<QueryResult> got =
-        session.Run(MakeQuery(params), BackendKind::kStreaming);
-    ASSERT_TRUE(got.ok()) << got.status().ToString();
-    EXPECT_EQ(got->patterns, fresh.patterns) << "seed " << seed;
-    EXPECT_EQ(got->backend, "streaming");
-    // Streaming builds its own list/tree; it never touches the planner
-    // cache.
-    EXPECT_FALSE(got->tree_reused);
-  }
-}
-
-TEST(ExecutorTest, StreamingRejectsToleranceAndTopK) {
-  QuerySession session(DatasetSnapshot::Create(PaperExampleDb()));
-  Query tolerant = MakeQuery(PaperExampleParams());
-  tolerant.params.max_gap_violations = 1;
-  EXPECT_FALSE(session.Run(tolerant, BackendKind::kStreaming).ok());
-
-  Query topk = MakeQuery(PaperExampleParams());
-  topk.top_k = 3;
-  EXPECT_FALSE(session.Run(topk, BackendKind::kStreaming).ok());
-}
-
 TEST(ExecutorTest, WindowedBackendMatchesSequentialWithCoveringWindow) {
   // A window wider than the whole snapshot never expires anything, so the
   // final committed set must equal the sequential result, for any delta.
@@ -336,13 +307,16 @@ TEST(ExecutorTest, WindowedCancellationYieldsCommittedPrefix) {
 TEST(ExecutorTest, PaperExampleThroughEveryBackend) {
   QuerySession session(DatasetSnapshot::Create(PaperExampleDb()));
   Query q = MakeQuery(PaperExampleParams());
+  // A window wider than the example's 14 time units expires nothing.
+  q.window = 100;
   for (BackendKind kind : {BackendKind::kSequential, BackendKind::kParallel,
-                           BackendKind::kStreaming}) {
+                           BackendKind::kWindowed}) {
     Result<QueryResult> got = session.Run(q, kind);
     ASSERT_TRUE(got.ok()) << BackendName(kind);
     EXPECT_EQ(got->patterns, PaperExamplePatterns()) << BackendName(kind);
   }
-  // One snapshot, one tree build for the sequential+parallel pair.
+  // One snapshot, one tree build for the sequential+parallel pair; the
+  // windowed backend keeps its own incremental state.
   EXPECT_EQ(session.tree_builds(), 1u);
 }
 

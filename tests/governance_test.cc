@@ -25,9 +25,10 @@ using engine::Query;
 using engine::QueryResult;
 using engine::QuerySession;
 
-constexpr BackendKind kAllBackends[] = {
-    BackendKind::kSequential, BackendKind::kParallel,
-    BackendKind::kStreaming};
+// The planner-backed backends; the windowed backend's governance is
+// covered by windowed_miner_test and engine_test.
+constexpr BackendKind kPlannedBackends[] = {BackendKind::kSequential,
+                                            BackendKind::kParallel};
 
 ExecOptions ExecFor(BackendKind backend) {
   ExecOptions exec;
@@ -74,7 +75,7 @@ TEST(GovernanceTest, UnlimitedQueryReportsOkAndNoTruncation) {
   QuerySession session(snapshot);
   Query query;
   query.params = GovernanceParams();
-  for (BackendKind backend : kAllBackends) {
+  for (BackendKind backend : kPlannedBackends) {
     QueryResult result = RunOrDie(session, query, backend);
     EXPECT_TRUE(result.status.ok()) << result.status.ToString();
     EXPECT_FALSE(result.truncated);
@@ -91,7 +92,7 @@ TEST(GovernanceTest, PreCancelledTokenStopsEveryBackend) {
   Query query;
   query.params = GovernanceParams();
   query.cancel = &token;
-  for (BackendKind backend : kAllBackends) {
+  for (BackendKind backend : kPlannedBackends) {
     QuerySession session(snapshot);
     QueryResult result = RunOrDie(session, query, backend);
     EXPECT_TRUE(result.status.IsCancelled())
@@ -133,7 +134,7 @@ TEST(GovernanceTest, DeadlineViaClockFaultStopsEveryBackend) {
 
   Query query = ungoverned;
   query.limits.timeout_ms = 60 * 1000;
-  for (BackendKind backend : kAllBackends) {
+  for (BackendKind backend : kPlannedBackends) {
     QuerySession session(snapshot);
     FaultInjectionOptions inject;
     inject.site_filter = "clock.skip";
@@ -193,7 +194,7 @@ TEST(GovernanceTest, MemoryBudgetTripsResourceExhausted) {
 
   Query query = ungoverned;
   query.limits.memory_budget_bytes = 1;  // Trips on the first tree bytes.
-  for (BackendKind backend : kAllBackends) {
+  for (BackendKind backend : kPlannedBackends) {
     QuerySession session(snapshot);
     QueryResult result = RunOrDie(session, query, backend);
     EXPECT_TRUE(result.status.IsResourceExhausted())
@@ -223,7 +224,7 @@ TEST(GovernanceTest, MaxPatternsPrefixIsIdenticalAcrossBackendsAndRuns) {
     query.limits.max_patterns = cap;
     std::vector<RecurringPattern> reference;
     bool have_reference = false;
-    for (BackendKind backend : kAllBackends) {
+    for (BackendKind backend : kPlannedBackends) {
       QuerySession session(snapshot);
       QueryResult result = RunOrDie(session, query, backend);
       // Soft cap: OK status, truncated result, committed count <= cap.
@@ -263,7 +264,7 @@ TEST(GovernanceTest, MaxPatternsAboveTotalDoesNotTruncate) {
 
   Query query = ungoverned;
   query.limits.max_patterns = full.patterns.size() + 100;
-  for (BackendKind backend : kAllBackends) {
+  for (BackendKind backend : kPlannedBackends) {
     QuerySession session(snapshot);
     QueryResult result = RunOrDie(session, query, backend);
     EXPECT_TRUE(result.status.ok());

@@ -203,6 +203,14 @@ TEST(ParseMiningQueryTest, RejectsUnknownFlagsAndPositionals) {
   EXPECT_FALSE(ParseMiningQuery("--per=2 --bogus=1", 100).ok());
   EXPECT_FALSE(ParseMiningQuery("--per=2 sneaky", 100).ok());
   EXPECT_FALSE(ParseMiningQuery("--per=2 --backend=warp", 100).ok());
+  // The streaming backend was removed; the error names the ones left.
+  Result<ParsedQueryLine> removed =
+      ParseMiningQuery("--per=2 --backend=streaming", 100);
+  ASSERT_FALSE(removed.ok());
+  EXPECT_TRUE(removed.status().IsInvalidArgument());
+  EXPECT_NE(removed.status().message().find("sequential, parallel or windowed"),
+            std::string::npos)
+      << removed.status().ToString();
 }
 
 TEST(ParseMiningQueryTest, TopKLine) {

@@ -85,6 +85,19 @@ TEST(ParseRequest, RejectsIncoherentRequests) {
                    .ok());
   EXPECT_FALSE(ParseRequest("{\"op\":\"swap\",\"dataset\":\"d\"}").ok());
   EXPECT_FALSE(ParseRequest("not json").ok());
+  // A backend name outside the vocabulary, including the removed
+  // "streaming", names the backends that exist.
+  for (const char* name : {"warp", "streaming"}) {
+    Result<Request> r = ParseRequest(
+        std::string("{\"op\":\"query\",\"dataset\":\"d\",\"per\":2,"
+                    "\"min_rec\":2,\"backend\":\"") +
+        name + "\"}");
+    ASSERT_FALSE(r.ok()) << name;
+    EXPECT_TRUE(r.status().IsInvalidArgument()) << name;
+    EXPECT_NE(r.status().message().find("sequential, parallel or windowed"),
+              std::string::npos)
+        << r.status().ToString();
+  }
 }
 
 TEST(ParseRequest, MinPsZeroResolvesToOneLikeTheCli) {
