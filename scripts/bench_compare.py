@@ -15,8 +15,8 @@ fraction, minRec, and the windowed-bench window/delta sizes), then:
     under --min-seconds in BOTH snapshots (pure timer noise);
   * flags any schedule-invariant counter (patterns, merge / gate-scan
     counters, and the windowed maintenance counters) that changed at
-    all — those are correctness drift, not noise, and are always
-    treated as regressions;
+    all — those are correctness drift, not noise, and always fail the
+    comparison;
   * reports stage or counter fields present on only one side as
     informational "new field" / "removed field" rows — a bench gaining
     or losing instrumentation is an expected schema change, not a
@@ -25,11 +25,12 @@ fraction, minRec, and the windowed-bench window/delta sizes), then:
     hardware_concurrency or SIMD dispatch levels (counter checks still
     run — they are machine-independent).
 
-Exit status: 0 unless --fail-on-regression is given and a regression was
-found (then 1); 2 on malformed input. scripts/verify.sh runs this as a
-non-fatal stage against the committed bench_runs/ smoke snapshots, and
-runs --selftest (synthetic documents exercising the three row classes)
-as a fatal one.
+Exit status: 1 on any counter drift; 1 on a time regression only when
+--fail-on-regression is given (time regressions are advisory otherwise);
+0 else; 2 on malformed input. scripts/verify.sh runs this against the
+committed bench_runs/ smoke snapshots — so counter drift fails it while
+time regressions are only reported — and runs --selftest (synthetic
+documents exercising every row class and both exit paths) first.
 """
 
 import argparse
@@ -95,9 +96,19 @@ class Comparison:
 
     def __init__(self):
         self.matched = 0
-        self.regressions = []    # Counter drift + time regressions.
+        self.drift = []          # Schedule-invariant counter changes.
+        self.regressions = []    # Times past the threshold the bad way.
         self.improvements = []   # Times past the threshold the good way.
         self.infos = []          # One-sided records and fields.
+
+
+def exit_status(out, fail_on_regression):
+    """Counter drift always fails; time regressions only on request."""
+    if out.drift:
+        return 1
+    if out.regressions and fail_on_regression:
+        return 1
+    return 0
 
 
 def compare(base, cur, threshold, min_seconds, compare_times):
@@ -121,7 +132,7 @@ def compare(base, cur, threshold, min_seconds, compare_times):
                     f"{fmt_key(key)}: new field (current only): {field}")
         for field in COUNTER_FIELDS:
             if field in old and field in rec and old[field] != rec[field]:
-                out.regressions.append(
+                out.drift.append(
                     f"{fmt_key(key)}: COUNTER {field} changed "
                     f"{old[field]} -> {rec[field]}")
         if not compare_times:
@@ -160,8 +171,8 @@ def selftest():
         {"dataset": "gone", "threads": 1, "patterns_emitted": 1},
     ])
     cur = doc([
-        # Counter drift (hard), time regression (hard), one removed and
-        # one new field (informational).
+        # Counter drift (fatal), time regression (advisory), one removed
+        # and one new field (informational).
         {"dataset": "a", "threads": 1, "patterns_emitted": 10,
          "nodes_retired": 4, "mine_seconds": 1.5,
          "compactions": 2},
@@ -172,14 +183,18 @@ def selftest():
     failures = []
     if out.matched != 1:
         failures.append(f"matched {out.matched}, want 1")
-    if not any("COUNTER nodes_retired changed 3 -> 4" in r
-               for r in out.regressions):
-        failures.append("counter drift not flagged")
-    if not any("mine_seconds" in r and "+50.0%" in r
-               for r in out.regressions):
-        failures.append("time regression not flagged")
-    if len(out.regressions) != 2:
-        failures.append(f"regressions {out.regressions}, want exactly 2")
+    if out.drift != ["dataset=a threads=1: COUNTER nodes_retired changed "
+                     "3 -> 4"]:
+        failures.append(f"drift {out.drift}, want the nodes_retired change")
+    if len(out.regressions) != 1 or not ("mine_seconds" in out.regressions[0]
+                                         and "+50.0%" in out.regressions[0]):
+        failures.append(f"regressions {out.regressions}, want the "
+                        "mine_seconds +50% row only")
+    # Exit paths: drift fails with or without --fail-on-regression.
+    for flag in (False, True):
+        if exit_status(out, flag) != 1:
+            failures.append(f"counter drift exits 0 (fail_on_regression="
+                            f"{flag})")
     if not any("removed field (baseline only): tree_seconds" in i
                for i in out.infos):
         failures.append("one-sided baseline field not informational")
@@ -196,13 +211,31 @@ def selftest():
     # Identical docs: nothing flagged; time improvements land in their
     # own bucket, never in regressions.
     clean = compare(base, base, 0.10, 0.02, True)
-    if clean.regressions or clean.improvements:
+    if clean.drift or clean.regressions or clean.improvements:
         failures.append("self-comparison not clean")
+    for flag in (False, True):
+        if exit_status(clean, flag) != 0:
+            failures.append(f"clean comparison exits nonzero "
+                            f"(fail_on_regression={flag})")
+    # A time-only regression is advisory: exit 0 unless requested.
+    slower = doc([{"dataset": "a", "threads": 1, "patterns_emitted": 10,
+                   "nodes_retired": 3, "mine_seconds": 1.5,
+                   "tree_seconds": 0.5}])
+    slow = compare(base, slower, 0.10, 0.02, True)
+    if slow.drift or len(slow.regressions) != 1:
+        failures.append(f"time-only regression misclassified: drift "
+                        f"{slow.drift}, regressions {slow.regressions}")
+    if exit_status(slow, False) != 0:
+        failures.append("time-only regression exits nonzero without "
+                        "--fail-on-regression")
+    if exit_status(slow, True) != 1:
+        failures.append("time-only regression exits 0 with "
+                        "--fail-on-regression")
     faster = doc([{"dataset": "a", "threads": 1, "patterns_emitted": 10,
                    "nodes_retired": 3, "mine_seconds": 0.5,
                    "tree_seconds": 0.5}])
     sped = compare(base, faster, 0.10, 0.02, True)
-    if sped.regressions or not any("mine_seconds" in i
+    if sped.drift or sped.regressions or not any("mine_seconds" in i
                                    for i in sped.improvements):
         failures.append("improvement misclassified")
 
@@ -259,11 +292,18 @@ def main():
         print(f"  improved:  {line}")
     for line in out.regressions:
         print(f"  REGRESSED: {line}")
-    if not out.regressions:
+    for line in out.drift:
+        print(f"  DRIFTED:   {line}")
+    if out.drift:
+        print(f"bench_compare: {len(out.drift)} schedule-invariant counter(s) "
+              f"drifted (fatal)")
+    if out.regressions:
+        advisory = "" if args.fail_on_regression else " (advisory)"
+        print(f"bench_compare: {len(out.regressions)} time regression(s) "
+              f"flagged{advisory}")
+    if not out.drift and not out.regressions:
         print("bench_compare: no per-stage regression")
-        return 0
-    print(f"bench_compare: {len(out.regressions)} regression(s) flagged")
-    return 1 if args.fail_on_regression else 0
+    return exit_status(out, args.fail_on_regression)
 
 
 if __name__ == "__main__":

@@ -5,6 +5,7 @@
 #include <memory>
 #include <mutex>
 #include <numeric>
+#include <span>
 #include <stdexcept>
 #include <utility>
 
@@ -27,7 +28,7 @@ namespace {
 struct PathRef {
   uint32_t ranks_begin = 0;  // Offset into the frame's rank storage.
   uint32_t ranks_len = 0;
-  const TimestampList* ts = nullptr;
+  std::span<const Timestamp> ts;
 };
 
 /// Per-recursion-level scratch. Frames are pooled by depth and reused
@@ -142,25 +143,24 @@ class Miner {
   }
 
   /// Mines one top-level projection: the independent subproblem of a
-  /// single suffix item, pre-collected by ProjectSuffixItems (which also
-  /// merged ts_beta, so no merge happens here).
+  /// single suffix item, collected by ProjectRank (which also merged
+  /// ts_beta, so no merge happens here). The frame's paths view the
+  /// projection, which must outlive the call.
   Outcome MineProjection(const std::vector<ItemId>& items_by_rank,
-                         SuffixProjection* projection,
+                         const SuffixProjection& projection,
                          uint64_t cap_headroom) {
     BeginSubproblem(cap_headroom);
     Frame& frame = scratch_->FrameAt(depth_);
     frame.paths.clear();
-    frame.rank_storage.clear();
-    for (const ProjectedPath& p : projection->paths) {
+    frame.rank_storage.assign(projection.ranks.begin(),
+                              projection.ranks.end());
+    for (const ProjectedPath& p : projection.paths) {
       if (ShouldStop()) return CurrentOutcome();
-      frame.paths.push_back({static_cast<uint32_t>(frame.rank_storage.size()),
-                             static_cast<uint32_t>(p.ranks.size()), &p.ts});
-      frame.rank_storage.insert(frame.rank_storage.end(), p.ranks.begin(),
-                                p.ranks.end());
+      frame.paths.push_back({p.ranks_begin, p.ranks_len, projection.TsOf(p)});
     }
     Itemset suffix;
-    MineCollected(items_by_rank, frame, projection->ts_beta,
-                  items_by_rank[projection->rank], &suffix);
+    MineCollected(items_by_rank, frame, projection.ts_beta,
+                  items_by_rank[projection.rank], &suffix);
     return CurrentOutcome();
   }
 
@@ -231,7 +231,7 @@ class Miner {
           if (ts.empty() && path.empty()) return true;
           frame.paths.push_back(
               {static_cast<uint32_t>(frame.rank_storage.size()),
-               static_cast<uint32_t>(path.size()), &ts});
+               static_cast<uint32_t>(path.size()), ts});
           frame.rank_storage.insert(frame.rank_storage.end(), path.begin(),
                                     path.end());
           AppendSortedRuns(ts, &frame.beta_runs);
@@ -315,9 +315,9 @@ class Miner {
     // runs_by_rank[r] describes TS^{beta + item_at_rank_r}.
     frame.touched.clear();
     for (const PathRef& pr : frame.paths) {
-      if (pr.ts->empty()) continue;
+      if (pr.ts.empty()) continue;
       frame.path_runs.clear();
-      AppendSortedRuns(*pr.ts, &frame.path_runs);
+      AppendSortedRuns(pr.ts, &frame.path_runs);
       const uint32_t* path_ranks = frame.rank_storage.data() + pr.ranks_begin;
       for (uint32_t k = 0; k < pr.ranks_len; ++k) {
         const uint32_t r = path_ranks[k];
@@ -380,7 +380,7 @@ class Miner {
       }
       if (frame.mapped.empty()) continue;
       std::sort(frame.mapped.begin(), frame.mapped.end());
-      cond.InsertPath(frame.mapped, *pr.ts);
+      cond.InsertPath(frame.mapped, pr.ts);
     }
     ++result_->stats.conditional_trees;
     QueryBudget* budget = checkpoint_.budget();
@@ -464,36 +464,44 @@ void MineSequentialTopLevel(TsPrefixTree* tree, Miner* miner,
   if (budget != nullptr) budget->AddPatterns(committed);
 }
 
-/// Parallel mining phase: decompose the tree into per-suffix-item
-/// projections and mine them on `threads` workers with per-projection
-/// results, then commit. Counters sum to exactly the sequential values
-/// because every subproblem is counted once, on whichever worker runs it
-/// (ts_beta merges are counted during projection, where they happen).
+/// Parallel mining phase over a shared, unmodified tree: lay its ts-lists
+/// out in preorder once (TsPreorderLayout), then let each worker project
+/// the suffix item it mines straight off that layout (ProjectRank) and
+/// mine the projection, keeping per-subproblem results for the commit.
+/// Counters sum to exactly the sequential values because every
+/// subproblem — its TS^item merge included — is counted once, on
+/// whichever worker runs it.
 ///
-/// Budget governance commits the longest prefix (in bottom-up order —
-/// the order ProjectSuffixItems returns) of subproblems that completed
-/// and fit under the max-patterns cap; everything at and after the first
-/// incomplete or cap-crossing subproblem is dropped, including
-/// completed-but-later subproblems, so a max_patterns cut lands on the
-/// identical subproblem the sequential path cuts at.
-void MineParallel(TsPrefixTree* tree, const RpParams& params,
+/// Budget governance commits the longest prefix (in bottom-up,
+/// descending-rank order) of subproblems that completed and fit under the
+/// max-patterns cap; everything at and after the first incomplete or
+/// cap-crossing subproblem is dropped, including completed-but-later
+/// subproblems, so a max_patterns cut lands on the identical subproblem
+/// the sequential path cuts at. Tracked bytes are the layout plus each
+/// worker's one live projection.
+void MineParallel(const TsPrefixTree& tree, const RpParams& params,
                   const RpGrowthOptions& options, size_t threads,
                   RpGrowthResult* result) {
-  MergeCounters projection_counters;
-  std::vector<SuffixProjection> projections =
-      ProjectSuffixItems(tree, &projection_counters);
-  result->stats.merge_invocations += projection_counters.merge_invocations;
-  result->stats.runs_merged += projection_counters.runs_merged;
-  result->stats.timestamps_merged += projection_counters.timestamps_merged;
+  QueryBudget* budget = options.budget;
+  const TsPreorderLayout layout(tree);
+  const size_t layout_bytes = budget != nullptr ? layout.ApproxBytes() : 0;
+  if (budget != nullptr) budget->AddTrackedBytes(layout_bytes);
 
-  // Heaviest projections first (LPT scheduling): with dynamic work
+  // One subproblem per rank holding timestamps, in bottom-up order.
+  std::vector<size_t> ranks;
+  for (size_t rank = tree.num_ranks(); rank-- > 0;) {
+    if (layout.RankTimestampCount(rank) > 0) ranks.push_back(rank);
+  }
+
+  // Heaviest subproblems first (LPT scheduling): with dynamic work
   // pulling this bounds the makespan tail by the single largest
-  // subproblem. |TS^beta| is the cost proxy; ties keep bottom-up order,
+  // subproblem. |TS^item| is the cost proxy; ties keep bottom-up order,
   // so the schedule is deterministic.
-  std::vector<size_t> order(projections.size());
+  std::vector<size_t> order(ranks.size());
   std::iota(order.begin(), order.end(), size_t{0});
   std::stable_sort(order.begin(), order.end(), [&](size_t a, size_t b) {
-    return projections[a].ts_beta.size() > projections[b].ts_beta.size();
+    return layout.RankTimestampCount(ranks[a]) >
+           layout.RankTimestampCount(ranks[b]);
   });
 
   // Workers share one serialized sink; discovery order across workers is
@@ -507,7 +515,6 @@ void MineParallel(TsPrefixTree* tree, const RpParams& params,
     };
   }
 
-  QueryBudget* budget = options.budget;
   const uint64_t cap = budget != nullptr ? budget->limits().max_patterns : 0;
   // A worker cannot know the committed total while mining out of order,
   // but a subproblem whose own count exceeds the whole cap is doomed
@@ -516,38 +523,50 @@ void MineParallel(TsPrefixTree* tree, const RpParams& params,
   const uint64_t worker_headroom =
       cap == 0 ? std::numeric_limits<uint64_t>::max() : cap;
 
-  /// Per-projection (not per-worker) result so the commit walk below can
+  /// Per-subproblem (not per-worker) result so the commit walk below can
   /// keep the exact bottom-up prefix of completed subproblems.
   struct Subproblem {
     RpGrowthResult local;
     Miner::Outcome outcome = Miner::Outcome::kHardStop;  // = not dispatched.
     uint64_t emitted = 0;
   };
-  std::vector<Subproblem> subs(projections.size());
+  std::vector<Subproblem> subs(ranks.size());
 
-  const size_t workers = std::min(threads, projections.size());
-  std::vector<MinerScratch> scratches(std::max<size_t>(workers, 1));
-  std::vector<double> busy_seconds(scratches.size(), 0.0);
-  const std::vector<ItemId>& items_by_rank = tree->items_by_rank();
+  /// Per-worker state; the projection buffer is reused, so each worker
+  /// holds at most one live projection.
+  struct Worker {
+    MinerScratch scratch;
+    ProjectionScratch projection_scratch;
+    SuffixProjection projection;
+    double busy_seconds = 0.0;
+  };
+  const size_t workers = std::min(threads, ranks.size());
+  std::vector<Worker> state(std::max<size_t>(workers, 1));
+  const std::vector<ItemId>& items_by_rank = tree.items_by_rank();
   std::function<bool()> should_stop;
   if (budget != nullptr) {
     should_stop = [budget] { return budget->stop_requested(); };
   }
   const size_t participants = ParallelFor(
-      projections.size(), workers,
+      ranks.size(), workers,
       [&](size_t worker, size_t i) {
         if (FailpointTriggered("worker.task")) {
           throw std::runtime_error("injected worker-task fault");
         }
         Stopwatch stopwatch;
-        SuffixProjection& projection = projections[order[i]];
+        Worker& w = state[worker];
         Subproblem& sub = subs[order[i]];
-        Miner miner(params, worker_options, &sub.local, &scratches[worker]);
+        ProjectRank(tree, layout, ranks[order[i]], &w.projection,
+                    &w.projection_scratch, &w.scratch.counters);
+        const size_t projection_bytes =
+            budget != nullptr ? w.projection.ApproxBytes() : 0;
+        if (budget != nullptr) budget->AddTrackedBytes(projection_bytes);
+        Miner miner(params, worker_options, &sub.local, &w.scratch);
         sub.outcome =
-            miner.MineProjection(items_by_rank, &projection, worker_headroom);
+            miner.MineProjection(items_by_rank, w.projection, worker_headroom);
         sub.emitted = miner.subproblem_emitted();
-        projection = SuffixProjection();  // Release the snapshot eagerly.
-        busy_seconds[worker] += stopwatch.ElapsedSeconds();
+        if (budget != nullptr) budget->ReleaseTrackedBytes(projection_bytes);
+        w.busy_seconds += stopwatch.ElapsedSeconds();
       },
       should_stop);
 
@@ -589,11 +608,14 @@ void MineParallel(TsPrefixTree* tree, const RpParams& params,
     result->stats.conditional_trees += sub.local.stats.conditional_trees;
     result->stats.patterns_examined += sub.local.stats.patterns_examined;
   }
-  for (size_t w = 0; w < scratches.size(); ++w) {
-    result->stats.mine_cpu_seconds += busy_seconds[w];
-    FoldScratchStats(scratches[w], &result->stats);
+  for (const Worker& w : state) {
+    result->stats.mine_cpu_seconds += w.busy_seconds;
+    FoldScratchStats(w.scratch, &result->stats);
   }
-  if (budget != nullptr) budget->AddPatterns(committed);
+  if (budget != nullptr) {
+    budget->AddPatterns(committed);
+    budget->ReleaseTrackedBytes(layout_bytes);
+  }
   result->stats.threads_used = std::max<size_t>(participants, size_t{1});
 }
 
@@ -786,8 +808,14 @@ TsPrefixTree BuildRankedTree(const TransactionDatabase& db,
   return tree;
 }
 
-RpGrowthResult MineFromPrepared(const PreparedMining& prepared,
-                                TsPrefixTree tree, const RpParams& params,
+namespace {
+
+/// Body of both MineFromPrepared entries. One thread mines *consumable
+/// (== &tree, consumed); more threads mine `tree` read-only.
+RpGrowthResult MinePreparedTree(const PreparedMining& prepared,
+                                const TsPrefixTree& tree,
+                                TsPrefixTree* consumable,
+                                const RpParams& params,
                                 const RpGrowthOptions& options) {
   RPM_CHECK(params.Validate().ok()) << params.ToString();
   RPM_CHECK(params.period == prepared.params.period &&
@@ -809,36 +837,53 @@ RpGrowthResult MineFromPrepared(const PreparedMining& prepared,
   result.stats.tree_merge_seconds = prepared.tree_build.merge_seconds;
 
   QueryBudget* budget = options.budget;
-  const size_t tree_bytes = budget != nullptr ? tree.ApproxBytes() : 0;
-  if (budget != nullptr) {
-    budget->AddNodes(tree.NodeCount());
-    budget->AddTrackedBytes(tree_bytes);  // May trip the memory stop.
-  }
+  if (budget != nullptr) budget->AddNodes(tree.NodeCount());
 
-  // Bottom-up mining (Algorithm 4): sequentially on this thread, or over
-  // per-suffix-item projections on a worker pool.
+  // Bottom-up mining (Algorithm 4): sequentially on this thread over the
+  // consumable tree, or over per-suffix-item projections on a worker pool.
   Stopwatch phase;
   const size_t threads = ResolveThreadCount(options.num_threads);
   if (threads <= 1) {
+    RPM_DCHECK(consumable == &tree);
+    const size_t tree_bytes = budget != nullptr ? tree.ApproxBytes() : 0;
+    if (budget != nullptr) {
+      budget->AddTrackedBytes(tree_bytes);  // May trip the memory stop.
+    }
     MinerScratch scratch;
     Miner miner(params, options, &result, &scratch);
-    MineSequentialTopLevel(&tree, &miner, budget, &result);
+    MineSequentialTopLevel(consumable, &miner, budget, &result);
     FoldScratchStats(scratch, &result.stats);
     result.stats.mine_seconds = phase.ElapsedSeconds();
     result.stats.mine_cpu_seconds = result.stats.mine_seconds;
     result.stats.threads_used = 1;
+    if (budget != nullptr) budget->ReleaseTrackedBytes(tree_bytes);
   } else {
-    MineParallel(&tree, params, options, threads, &result);
+    MineParallel(tree, params, options, threads, &result);
     result.stats.mine_seconds = phase.ElapsedSeconds();
   }
 
-  if (budget != nullptr) {
-    budget->ReleaseTrackedBytes(tree_bytes);
-    result.status = budget->status();
-  }
+  if (budget != nullptr) result.status = budget->status();
   SortPatternsCanonically(&result.patterns);
   result.stats.total_seconds = total.ElapsedSeconds();
   return result;
+}
+
+}  // namespace
+
+RpGrowthResult MineFromPrepared(const PreparedMining& prepared,
+                                TsPrefixTree tree, const RpParams& params,
+                                const RpGrowthOptions& options) {
+  return MinePreparedTree(prepared, tree, &tree, params, options);
+}
+
+RpGrowthResult MineFromPrepared(const PreparedMining& prepared,
+                                const RpParams& params,
+                                const RpGrowthOptions& options) {
+  if (ResolveThreadCount(options.num_threads) <= 1) {
+    TsPrefixTree clone = prepared.tree.Clone();
+    return MinePreparedTree(prepared, clone, &clone, params, options);
+  }
+  return MinePreparedTree(prepared, prepared.tree, nullptr, params, options);
 }
 
 RpGrowthResult MineRecurringPatterns(const TransactionDatabase& db,

@@ -111,7 +111,8 @@ struct RpGrowthStats {
   double tree_merge_seconds = 0.0;  ///< Wall clock of the partial-trie fold.
   double list_seconds = 0.0;        ///< Wall clock of the RP-list scan.
   double tree_seconds = 0.0;        ///< Wall clock of RP-tree construction.
-  /// Wall clock of the mining phase (projection + workers when parallel).
+  /// Wall clock of the mining phase (preorder layout + workers when
+  /// parallel).
   double mine_seconds = 0.0;
   /// Mining time summed across workers. Equals mine_seconds on one
   /// thread; exceeds it under parallelism (the ratio is the effective
@@ -163,7 +164,12 @@ RpGrowthResult MineRecurringPatterns(const TransactionDatabase& db,
 // stricter params yields the identical pattern set (the Erec bound is
 // anti-monotone and every per-pattern test is evaluated exactly from
 // TS^beta). The engine's planner builds once via PrepareMining and mines
-// many times via MineFromPrepared over tree Clone()s.
+// many times via MineFromPrepared(const PreparedMining&, ...), which never
+// mutates the build: one thread mines a Clone() (push-up consumes the
+// tree it walks), more threads read the shared tree through a preorder
+// ts-list layout (core/projection.h) built and owned by the call — each
+// node's push-up accumulation is a contiguous span of it, so every worker
+// projects the suffix items it mines without a clone or a serial sweep.
 
 /// Instrumentation of one RP-tree construction, folded into the tree_*
 /// fields of RpGrowthStats.
@@ -189,8 +195,10 @@ struct PreparedMining {
   RpList list;
   /// Candidate order of the tree (rank r holds items_by_rank[r]).
   std::vector<ItemId> items_by_rank;
-  /// The built tree. Mining consumes a tree, so repeated runs mine
-  /// tree.Clone() and leave this master copy untouched.
+  /// The built tree, never mutated once built. Sequential mining consumes
+  /// the tree it walks, so it mines tree.Clone(); parallel mining reads
+  /// this copy directly (through a TsPreorderLayout it builds per call),
+  /// so concurrent queries may share one build.
   TsPrefixTree tree{std::vector<ItemId>{}};
   // Build-phase stats, folded into every MineFromPrepared result:
   size_t num_items = 0;
@@ -241,17 +249,25 @@ TsPrefixTree BuildRankedTree(const TransactionDatabase& db,
                              size_t num_threads = 1,
                              TreeBuildStats* stats = nullptr);
 
-/// Pass 3 (bottom-up mining) over `tree`, consumed in the process. `tree`
-/// must come from `prepared` (the master or a Clone()), and `params` must
-/// be no looser than prepared.params: same period and max_gap_violations,
-/// params.min_ps >= prepared.params.min_ps, params.min_rec >=
-/// prepared.params.min_rec (checked). options.pruning must equal
-/// prepared.pruning. With equal params the result — patterns, stats
-/// counters, canonical order — is bit-identical to MineRecurringPatterns;
-/// with stricter params the pattern set is still exactly the stricter
-/// run's, while tree/exploration counters reflect the looser build.
-/// stats.total_seconds covers only this call (build time is in the folded
-/// list_seconds/tree_seconds).
+/// Pass 3 (bottom-up mining) over `prepared`'s build, which is left
+/// untouched: at num_threads <= 1 it mines a Clone(), otherwise it mines
+/// prepared.tree read-only (safe to call concurrently on one build).
+/// `params` must be no looser than prepared.params: same period and
+/// max_gap_violations, params.min_ps >= prepared.params.min_ps,
+/// params.min_rec >= prepared.params.min_rec (checked). options.pruning
+/// must equal prepared.pruning. With equal params the result — patterns,
+/// stats counters, canonical order — is bit-identical to
+/// MineRecurringPatterns; with stricter params the pattern set is still
+/// exactly the stricter run's, while tree/exploration counters reflect the
+/// looser build. stats.total_seconds covers only this call (build time is
+/// in the folded list_seconds/tree_seconds).
+RpGrowthResult MineFromPrepared(const PreparedMining& prepared,
+                                const RpParams& params,
+                                const RpGrowthOptions& options = {});
+
+/// The same over a caller-supplied `tree` from `prepared` (the master moved
+/// out, or a Clone()), consumed at num_threads <= 1 and only read
+/// otherwise.
 RpGrowthResult MineFromPrepared(const PreparedMining& prepared,
                                 TsPrefixTree tree, const RpParams& params,
                                 const RpGrowthOptions& options = {});

@@ -8,6 +8,15 @@
 // ts-lists are pushed up to the parents (Lemma 3), which makes the next
 // item's nodes complete in turn.
 //
+// Push-up only ever appends a child's accumulated list to its parent's,
+// deepest rank first. So when a node's rank comes up, its list is its own
+// timestamps followed by its children's accumulated lists in descending
+// child rank — exactly the node's span in a preorder layout of every
+// ts-list (children visited by descending rank). TsPreorderLayout
+// (core/projection.h) builds that layout once over an unmined tree, which
+// lets the parallel miner read every node's push-up accumulation without
+// consuming, or cloning, the tree.
+//
 // The structure is shared by RP-growth and the PF-growth++ baseline; the
 // two differ only in the measures/pruning applied to collected ts-lists.
 
@@ -16,6 +25,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "rpm/core/arena.h"
@@ -25,14 +35,16 @@ namespace rpm {
 
 /// Prefix tree keyed by item *rank* (0 = first item of the tree's order).
 /// Owns its nodes via an arena (bump-allocated, bulk-freed with the tree);
-/// not copyable (mining mutates it in place) — repeated mining over one
-/// build goes through Clone().
+/// not copyable (sequential mining mutates it in place) — repeated
+/// sequential mining over one build goes through Clone(), while the
+/// parallel miner reads a shared build through TsPreorderLayout.
 class TsPrefixTree {
  public:
   struct Node {
     uint32_t rank = 0;
-    /// Dense per-tree creation index (root = 0). Lets Clone() map
-    /// original nodes to copies through a flat vector instead of a hash
+    /// Dense per-tree creation index (root = 0, below NodeSeqBound()).
+    /// Lets Clone() map original nodes to copies, and TsPreorderLayout
+    /// index its per-node spans, through a flat vector instead of a hash
     /// map; lives in the padding after `rank`, so it costs no space.
     uint32_t seq = 0;
     Node* parent = nullptr;
@@ -71,10 +83,14 @@ class TsPrefixTree {
   /// Inserts a whole prefix path carrying an accumulated ts-list
   /// (conditional-tree construction). Lists of coinciding paths merge.
   void InsertPath(const std::vector<uint32_t>& ranks,
-                  const TimestampList& ts_list);
+                  std::span<const Timestamp> ts_list);
 
   /// Head of the node-link chain for `rank` (nullptr when absent).
   const Node* HeadOfRank(size_t rank) const { return heads_[rank]; }
+
+  /// Upper bound on every Node::seq of this tree (the root included), for
+  /// sizing flat per-node side tables.
+  size_t NodeSeqBound() const { return next_seq_; }
 
   /// Visits every node of `rank`: fn(path, ts_list) where `path` holds the
   /// ancestor ranks in ascending order (root side first), excluding `rank`

@@ -53,10 +53,10 @@ class Executor {
   virtual const char* name() const = 0;
 
   /// Runs `query` against the planner's snapshot. The planner supplies
-  /// (and caches) the RP-list/RP-tree build; execution clones the cached
-  /// tree, so the planner's state is never consumed. Errors: invalid
-  /// query, or a query outside this backend's model (windowed with
-  /// tolerance, top-k or no window).
+  /// (and caches) the RP-list/RP-tree build; execution never mutates it
+  /// (the sequential backend mines a clone, the parallel backend reads the
+  /// cached tree in place). Errors: invalid query, or a query outside this
+  /// backend's model (windowed with tolerance, top-k or no window).
   virtual Result<QueryResult> Execute(QueryPlanner& planner,
                                       const Query& query,
                                       const ExecOptions& options) const = 0;

@@ -548,5 +548,58 @@ TEST(EngineConcurrencyTest, ConcurrentSessionsShareOneSnapshotSafely) {
   EXPECT_LE(session.tree_builds(), points.size());
 }
 
+TEST(EngineConcurrencyTest, ParallelQueriesMineOneCachedBuildReadOnly) {
+  TransactionDatabase db = MakeRandomDb(RandomDbSpec{}, 92);
+  QuerySession session(DatasetSnapshot::Create(db));
+  const RpParams params = PaperExampleParams();
+  ExecOptions exec;
+  exec.threads = 4;
+
+  // The first run builds and caches the tree the racing queries share.
+  Result<QueryResult> want =
+      session.Run(MakeQuery(params), BackendKind::kParallel, exec);
+  ASSERT_TRUE(want.ok()) << want.status().ToString();
+  EXPECT_EQ(want->patterns, MineRecurringPatterns(db, params).patterns);
+  std::shared_ptr<const PreparedMining> build =
+      session.planner().PlanFor(params).prepared;
+  const size_t nodes = build->tree.NodeCount();
+  const size_t timestamps = build->tree.TimestampCount();
+
+  // Four threads mine the one cached build in parallel at once: each
+  // query's workers read the shared tree while other queries' do too.
+  constexpr int kThreads = 4;
+  constexpr int kRounds = 3;
+  std::vector<Result<QueryResult>> got(
+      kThreads * kRounds, Status::Unknown("not run"));
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t]() {
+      for (int round = 0; round < kRounds; ++round) {
+        got[t * kRounds + round] =
+            session.Run(MakeQuery(params), BackendKind::kParallel, exec);
+      }
+    });
+  }
+  for (std::thread& th : threads) th.join();
+  for (const Result<QueryResult>& r : got) {
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    EXPECT_EQ(r->patterns, want->patterns);
+    EXPECT_EQ(InvariantCounters(r->stats), InvariantCounters(want->stats));
+    EXPECT_TRUE(r->tree_reused);
+  }
+  EXPECT_EQ(session.tree_builds(), 1u);
+
+  // The cached build is untouched and still mines identically.
+  EXPECT_EQ(build->tree.NodeCount(), nodes);
+  EXPECT_EQ(build->tree.TimestampCount(), timestamps);
+  for (BackendKind kind : {BackendKind::kSequential, BackendKind::kParallel}) {
+    Result<QueryResult> again = session.Run(MakeQuery(params), kind, exec);
+    ASSERT_TRUE(again.ok()) << again.status().ToString();
+    EXPECT_EQ(again->patterns, want->patterns);
+    EXPECT_EQ(InvariantCounters(again->stats),
+              InvariantCounters(want->stats));
+  }
+}
+
 }  // namespace
 }  // namespace rpm::engine

@@ -8,6 +8,7 @@
 #include <atomic>
 #include <mutex>
 #include <set>
+#include <span>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -15,6 +16,7 @@
 #include "rpm/core/projection.h"
 #include "rpm/core/rp_growth.h"
 #include "rpm/core/thread_pool.h"
+#include "rpm/core/ts_merge.h"
 #include "rpm/gen/paper_datasets.h"
 #include "test_util.h"
 
@@ -269,12 +271,147 @@ TEST(ProjectionTest, ProjectionsCoverEveryCandidateOnce) {
         << "item rank " << projection.rank;
     // Paths only reference strictly shallower ranks, ascending.
     for (const ProjectedPath& path : projection.paths) {
-      EXPECT_TRUE(std::is_sorted(path.ranks.begin(), path.ranks.end()));
-      for (uint32_t r : path.ranks) EXPECT_LT(r, projection.rank);
+      const std::span<const uint32_t> ranks = projection.RanksOf(path);
+      EXPECT_TRUE(std::is_sorted(ranks.begin(), ranks.end()));
+      for (uint32_t r : ranks) EXPECT_LT(r, projection.rank);
     }
   }
   // And the reference mining result was unaffected by us re-deriving it.
   EXPECT_EQ(reference.stats.num_candidate_items, projections.size());
+}
+
+/// One rank's conditional pattern base as the consuming sweep collects
+/// it: the reference ProjectRank must reproduce.
+struct SweptProjection {
+  uint32_t rank = 0;
+  std::vector<std::vector<uint32_t>> path_ranks;
+  std::vector<TimestampList> path_ts;
+  TimestampList ts_beta;
+};
+
+/// The push-up sweep sequential mining performs (collect a rank's nodes,
+/// PushUpAndRemove, next rank), spelled out over the tree's public API.
+std::vector<SweptProjection> ConsumingSweep(TsPrefixTree* tree,
+                                            MergeCounters* counters) {
+  std::vector<SweptProjection> out;
+  MergeScratch scratch;
+  std::vector<TsRun> runs;
+  for (size_t rank = tree->num_ranks(); rank-- > 0;) {
+    SweptProjection p;
+    p.rank = static_cast<uint32_t>(rank);
+    tree->ForEachNodeOfRank(
+        rank, [&](const std::vector<uint32_t>& path, const TimestampList& ts) {
+          if (ts.empty() && path.empty()) return;
+          p.path_ranks.push_back(path);
+          p.path_ts.push_back(ts);
+        });
+    tree->PushUpAndRemove(rank);
+    runs.clear();
+    for (const TimestampList& ts : p.path_ts) AppendSortedRuns(ts, &runs);
+    if (runs.empty()) continue;
+    MergeSortedRuns(runs.data(), runs.size(), &p.ts_beta, &scratch, counters);
+    out.push_back(std::move(p));
+  }
+  return out;
+}
+
+void ExpectSameProjection(const SweptProjection& want,
+                          const SuffixProjection& got) {
+  EXPECT_EQ(got.rank, want.rank);
+  ASSERT_EQ(got.paths.size(), want.path_ranks.size()) << "rank " << want.rank;
+  for (size_t i = 0; i < got.paths.size(); ++i) {
+    const std::span<const uint32_t> ranks = got.RanksOf(got.paths[i]);
+    const std::span<const Timestamp> ts = got.TsOf(got.paths[i]);
+    EXPECT_EQ(std::vector<uint32_t>(ranks.begin(), ranks.end()),
+              want.path_ranks[i])
+        << "rank " << want.rank << " path " << i;
+    // Element for element, not as a set: the run structure is what the
+    // merge counters see.
+    EXPECT_EQ(TimestampList(ts.begin(), ts.end()), want.path_ts[i])
+        << "rank " << want.rank << " path " << i;
+  }
+  EXPECT_EQ(got.ts_beta, want.ts_beta) << "rank " << want.rank;
+}
+
+/// ProjectRank over a const tree must equal the consuming sweep for every
+/// rank — paths, ts-lists, TS^item and merge counters — on trees built at
+/// one and at four build threads (the fold reorders sibling lists; the
+/// layout must not care), and must leave the tree untouched. The
+/// ProjectSuffixItems wrapper must agree too.
+void ExpectProjectRankMatchesSweep(const TransactionDatabase& db,
+                                   const RpParams& params) {
+  const PreparedMining prepared = PrepareMining(db, params);
+  for (size_t build_threads : {1u, 4u}) {
+    SCOPED_TRACE(::testing::Message() << "build_threads=" << build_threads);
+    const TsPrefixTree tree = BuildRankedTree(db, prepared.items_by_rank,
+                                              nullptr, build_threads);
+    const size_t nodes = tree.NodeCount();
+    const size_t timestamps = tree.TimestampCount();
+    TsPrefixTree swept = tree.Clone();
+    MergeCounters want_counters;
+    const std::vector<SweptProjection> want =
+        ConsumingSweep(&swept, &want_counters);
+    ASSERT_FALSE(want.empty());
+
+    const TsPreorderLayout layout(tree);
+    ProjectionScratch scratch;
+    MergeCounters got_counters;
+    SuffixProjection got;  // Reused across ranks, as a worker does.
+    size_t next = 0;
+    for (size_t rank = tree.num_ranks(); rank-- > 0;) {
+      if (!ProjectRank(tree, layout, rank, &got, &scratch, &got_counters)) {
+        EXPECT_EQ(layout.RankTimestampCount(rank), 0u);
+        continue;
+      }
+      ASSERT_LT(next, want.size());
+      ExpectSameProjection(want[next++], got);
+      EXPECT_EQ(layout.RankTimestampCount(rank), got.ts_beta.size());
+    }
+    EXPECT_EQ(next, want.size());
+    EXPECT_EQ(got_counters.merge_invocations, want_counters.merge_invocations);
+    EXPECT_EQ(got_counters.runs_merged, want_counters.runs_merged);
+    EXPECT_EQ(got_counters.timestamps_merged,
+              want_counters.timestamps_merged);
+    EXPECT_EQ(tree.NodeCount(), nodes);
+    EXPECT_EQ(tree.TimestampCount(), timestamps);
+
+    TsPrefixTree wrapped = tree.Clone();
+    const std::vector<SuffixProjection> projections =
+        ProjectSuffixItems(&wrapped);
+    EXPECT_TRUE(wrapped.empty());
+    ASSERT_EQ(projections.size(), want.size());
+    for (size_t i = 0; i < want.size(); ++i) {
+      ExpectSameProjection(want[i], projections[i]);
+    }
+  }
+}
+
+TEST(ProjectionTest, ProjectRankMatchesConsumingSweepOnPaperExample) {
+  ExpectProjectRankMatchesSweep(PaperExampleDb(), PaperExampleParams());
+}
+
+TEST(ProjectionTest, ProjectRankMatchesConsumingSweepOnQuestMini) {
+  RpParams params;
+  params.period = 30;
+  params.min_ps = 5;
+  params.min_rec = 2;
+  ExpectProjectRankMatchesSweep(gen::MakeT10I4D100K(0.01, 99), params);
+}
+
+TEST(ProjectionTest, ProjectRankMatchesConsumingSweepOnClickstreamMini) {
+  RpParams params;
+  params.period = 120;
+  params.min_ps = 20;
+  params.min_rec = 1;
+  ExpectProjectRankMatchesSweep(gen::MakeShop14(0.01, 77).db, params);
+}
+
+TEST(ProjectionTest, ProjectRankMatchesConsumingSweepOnHashtagMini) {
+  RpParams params;
+  params.period = 60;
+  params.min_ps = 25;
+  params.min_rec = 1;
+  ExpectProjectRankMatchesSweep(gen::MakeTwitter(0.01, 88).db, params);
 }
 
 TEST(ThreadPoolTest, ParallelForVisitsEachIndexOnce) {
