@@ -136,10 +136,15 @@ cmake --build build-tsan -j"${JOBS}" --target rp_growth_parallel_test \
 # Fault campaign under TSan: injected faults fire from worker threads.
 ./build-tsan/src/rpminer verify --faults=200 --seed=7
 
-echo "== stage 7: UBSan over the differential harness + fault campaign =="
+echo "== stage 7: UBSan over the differential harness, fault campaign and input limits =="
 cmake -B build-ubsan -S . -DRPM_SANITIZE=undefined \
       -DRPM_BUILD_BENCHMARKS=OFF -DRPM_BUILD_EXAMPLES=OFF >/dev/null
-cmake --build build-ubsan -j"${JOBS}" --target rpminer
+cmake --build build-ubsan -j"${JOBS}" --target rpminer governance_test \
+      serve_protocol_test
+# Deadline and memory-limit arithmetic at the extremes a caller can send
+# (far-future timeouts, MiB counts whose byte count overflows).
+UBSAN_OPTIONS=halt_on_error=1 ./build-ubsan/tests/governance_test
+UBSAN_OPTIONS=halt_on_error=1 ./build-ubsan/tests/serve_protocol_test
 UBSAN_OPTIONS=halt_on_error=1 \
   ./build-ubsan/src/rpminer verify --cases=200 --seed=7
 UBSAN_OPTIONS=halt_on_error=1 \

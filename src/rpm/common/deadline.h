@@ -7,6 +7,7 @@
 #ifndef RPM_COMMON_DEADLINE_H_
 #define RPM_COMMON_DEADLINE_H_
 
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 
@@ -21,11 +22,21 @@ class Deadline {
 
   static Deadline Infinite() { return Deadline(); }
 
-  /// Expires `ms` milliseconds from now. ms <= 0 is already expired.
+  /// Expires `ms` milliseconds from now. ms <= 0 is already expired. A
+  /// deadline past the clock's range saturates at its last instant
+  /// instead of overflowing the nanosecond representation.
   static Deadline AfterMillis(int64_t ms) {
     Deadline d;
     d.infinite_ = false;
-    d.when_ = Clock::now() + std::chrono::milliseconds(ms);
+    using std::chrono::milliseconds;
+    const Clock::time_point now = Clock::now();
+    const int64_t headroom =
+        std::chrono::duration_cast<milliseconds>(Clock::time_point::max() -
+                                                 now)
+            .count();
+    d.when_ = ms >= headroom
+                  ? Clock::time_point::max()
+                  : now + milliseconds(std::max(ms, -headroom));
     return d;
   }
 

@@ -27,6 +27,7 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <string>
 
 #include "rpm/common/deadline.h"
 #include "rpm/common/status.h"
@@ -59,6 +60,18 @@ struct ResourceLimits {
     return timeout_ms == 0 && memory_budget_bytes == 0 && max_patterns == 0;
   }
 };
+
+/// `mb` MiB in bytes, for memory limits given in MiB. InvalidArgument
+/// naming `field` when the byte count does not fit in uint64 (a wrapped
+/// product would silently turn a huge limit into a tiny one).
+inline Result<uint64_t> MebibytesToBytes(uint64_t mb,
+                                         const std::string& field) {
+  if (mb > (UINT64_MAX >> 20)) {
+    return Status::InvalidArgument(field + " " + std::to_string(mb) +
+                                   " MiB overflows a byte count");
+  }
+  return mb << 20;
+}
 
 /// Accounting filled in by the budget during execution and surfaced on
 /// QueryResult (even for queries that finish within budget).
@@ -124,11 +137,10 @@ class QueryBudget {
   }
 
   /// Counts `n` committed patterns (pure accounting). The max_patterns cap
-  /// itself is enforced by the mining drivers at subproblem-commit
+  /// itself is enforced by the mining loop at subproblem-commit
   /// boundaries — arithmetic on per-subproblem counts, never on this
-  /// racy global — so sequential and parallel runs cut at the identical
-  /// subproblem; a driver that cuts records it via
-  /// RequestStop(StopReason::kPatternCap).
+  /// racy global — so every thread count cuts at the identical
+  /// subproblem; a cut is recorded via RequestStop(StopReason::kPatternCap).
   void AddPatterns(uint64_t n) {
     patterns_.fetch_add(n, std::memory_order_relaxed);
   }

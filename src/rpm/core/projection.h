@@ -1,12 +1,12 @@
-// Suffix-item projections: the unit of parallelism of RP-growth.
+// Suffix-item projections: the unit of top-level mining work in RP-growth.
 //
 // After the RP-tree is built, the mining work for each candidate suffix
 // item ai is fully determined by ai's conditional pattern base — the
 // prefix paths of ai's nodes together with the accumulated ts-lists of
-// their subtrees (what sequential mining materializes incrementally via
-// ts-list push-up, Lemma 3). Mining a projection with the standard
-// push-up recursion yields exactly the patterns the sequential miner finds
-// for that suffix item.
+// their subtrees (what Algorithm 4's bottom-up loop materializes
+// incrementally via ts-list push-up, Lemma 3). Mining a projection with
+// the standard push-up recursion yields exactly the patterns that loop
+// finds for that suffix item.
 //
 // Projection model. Push-up only appends each child's accumulated list to
 // its parent's, deepest rank first, so a node's accumulation is its own
@@ -22,7 +22,7 @@
 // Determinism: each span is element for element the list the consuming
 // sweep (collect a rank, PushUpAndRemove, next rank) would hold, so every
 // path, every run split and every TS^item merge — and with them the
-// merge counters — equal the sequential miner's. The layout is a function
+// merge counters — equal the consuming sweep's. The layout is a function
 // of the node-link chains and ranks only (never of sibling-list order,
 // which the parallel tree build's fold permutes).
 
@@ -130,7 +130,7 @@ bool ProjectRank(const TsPrefixTree& tree, const TsPreorderLayout& layout,
                  ProjectionScratch* scratch, MergeCounters* counters);
 
 /// Decomposes `tree` into one projection per suffix rank that has
-/// timestamps, in bottom-up (descending-rank) order — the sequential
+/// timestamps, in bottom-up (descending-rank) order — Algorithm 4's
 /// processing order — via ProjectRank over one layout, then consumes the
 /// tree: only its rank->item mapping remains usable afterwards. When
 /// `counters` is non-null the merge kernel's work is accumulated there.

@@ -79,7 +79,7 @@ struct Frame {
 
 /// Reusable per-miner (per-worker) scratch pool: one frame per recursion
 /// depth plus the shared merge-kernel buffers and counters. Not
-/// thread-safe — the parallel path allocates one pool per worker.
+/// thread-safe — the mining loop allocates one pool per worker.
 class MinerScratch {
  public:
   /// Frame for recursion depth `depth`; stable address across later calls
@@ -130,18 +130,6 @@ class Miner {
     kHardStop,  ///< Deadline / memory / cancellation checkpoint fired.
   };
 
-  /// Mines the top-level subproblem of `rank` (one iteration of
-  /// Algorithm 4's outer loop, minus the push-up — the driver pushes up
-  /// only after a commit). `cap_headroom` is how many patterns this
-  /// subproblem may emit before it is doomed to be dropped by the
-  /// max-patterns cut; UINT64_MAX = unlimited.
-  Outcome MineTopRank(TsPrefixTree* tree, size_t rank, Itemset* suffix,
-                      uint64_t cap_headroom) {
-    BeginSubproblem(cap_headroom);
-    ProcessRank(tree, rank, suffix);
-    return CurrentOutcome();
-  }
-
   /// Mines one top-level projection: the independent subproblem of a
   /// single suffix item, collected by ProjectRank (which also merged
   /// ts_beta, so no merge happens here). The frame's paths view the
@@ -164,8 +152,8 @@ class Miner {
     return CurrentOutcome();
   }
 
-  /// Patterns emitted by the most recently mined subproblem (the commit
-  /// delta the drivers use for the max-patterns arithmetic).
+  /// Patterns emitted by the most recently mined subproblem (what the
+  /// commit walk adds up for the max-patterns arithmetic).
   uint64_t subproblem_emitted() const { return subproblem_emitted_; }
 
  private:
@@ -426,59 +414,24 @@ void FoldScratchStats(const MinerScratch& scratch, RpGrowthStats* stats) {
   stats->scratch_bytes_peak = std::max(stats->scratch_bytes_peak, bytes);
 }
 
-/// Sequential top-level loop (Algorithm 4's outer loop) with per-
-/// subproblem commit/rollback: a subproblem the budget hard-stops — or
-/// that would push the committed total past the max-patterns cap — is
-/// rolled out of the result wholesale and mining ends, so the result is
-/// always the complete patterns of a contiguous bottom-up prefix of
-/// suffix subproblems. Without a budget this degenerates to the plain
-/// loop (headroom infinite, checkpoints a single branch).
-void MineSequentialTopLevel(TsPrefixTree* tree, Miner* miner,
-                            QueryBudget* budget, RpGrowthResult* result) {
-  const uint64_t cap = budget != nullptr ? budget->limits().max_patterns : 0;
-  uint64_t committed = 0;
-  Itemset suffix;
-  for (size_t rank = tree->num_ranks(); rank-- > 0;) {
-    if (tree->HeadOfRank(rank) == nullptr) continue;
-    const size_t patterns_mark = result->patterns.size();
-    const size_t emitted_mark = result->stats.patterns_emitted;
-    const uint64_t headroom =
-        cap == 0 ? std::numeric_limits<uint64_t>::max() : cap - committed;
-    const Miner::Outcome outcome =
-        miner->MineTopRank(tree, rank, &suffix, headroom);
-    if (outcome == Miner::Outcome::kComplete) {
-      committed += miner->subproblem_emitted();
-      tree->PushUpAndRemove(rank);
-      continue;
-    }
-    // Drop the subproblem: roll its patterns out of the result. The
-    // exploration counters intentionally keep the attempted work.
-    result->patterns.resize(patterns_mark);
-    result->stats.patterns_emitted = emitted_mark;
-    result->truncated = true;
-    if (outcome == Miner::Outcome::kOverflow && budget != nullptr) {
-      budget->RequestStop(StopReason::kPatternCap);
-    }
-    break;
-  }
-  if (budget != nullptr) budget->AddPatterns(committed);
-}
-
-/// Parallel mining phase over a shared, unmodified tree: lay its ts-lists
-/// out in preorder once (TsPreorderLayout), then let each worker project
-/// the suffix item it mines straight off that layout (ProjectRank) and
-/// mine the projection, keeping per-subproblem results for the commit.
-/// Counters sum to exactly the sequential values because every
-/// subproblem — its TS^item merge included — is counted once, on
-/// whichever worker runs it.
+/// The top-level mining loop (Algorithm 4's outer loop) at every thread
+/// count, over a shared, unmodified tree: lay its ts-lists out in preorder
+/// once (TsPreorderLayout), then let each worker project the suffix item
+/// it mines straight off that layout (ProjectRank) and mine the
+/// projection, keeping per-subproblem results for the commit. At one
+/// worker ParallelFor runs every subproblem inline on the calling thread.
+/// Counters are schedule-invariant because every subproblem — its TS^item
+/// merge included — is counted once, on whichever worker runs it.
 ///
-/// Budget governance commits the longest prefix (in bottom-up,
-/// descending-rank order) of subproblems that completed and fit under the
-/// max-patterns cap; everything at and after the first incomplete or
-/// cap-crossing subproblem is dropped, including completed-but-later
-/// subproblems, so a max_patterns cut lands on the identical subproblem
-/// the sequential path cuts at. Tracked bytes are the layout plus each
-/// worker's one live projection.
+/// Subproblems run heaviest first (LPT), not bottom-up, so `sink` sees
+/// them in that order even at one worker. Budget governance commits the
+/// longest prefix (in bottom-up, descending-rank order) of subproblems
+/// that completed and fit under the max-patterns cap; everything at and
+/// after the first incomplete or cap-crossing subproblem is dropped,
+/// including completed-but-later subproblems, so a max_patterns cut lands
+/// on the identical subproblem at every thread count. A capped run may
+/// therefore mine subproblems past the cut before dropping them. Tracked
+/// bytes are the layout plus each worker's one live projection.
 void MineParallel(const TsPrefixTree& tree, const RpParams& params,
                   const RpGrowthOptions& options, size_t threads,
                   RpGrowthResult* result) {
@@ -810,11 +763,21 @@ TsPrefixTree BuildRankedTree(const TransactionDatabase& db,
 
 namespace {
 
-/// Body of both MineFromPrepared entries. One thread mines *consumable
-/// (== &tree, consumed); more threads mine `tree` read-only.
+/// Copies the build-phase stats every MineFromPrepared result reports.
+void FoldBuildStats(const PreparedMining& prepared, RpGrowthStats* stats) {
+  stats->num_items = prepared.num_items;
+  stats->num_candidate_items = prepared.num_candidate_items;
+  stats->initial_tree_nodes = prepared.initial_tree_nodes;
+  stats->list_seconds = prepared.list_seconds;
+  stats->tree_seconds = prepared.tree_seconds;
+  stats->tree_build_threads = prepared.tree_build.threads_used;
+  stats->tree_partials_merged = prepared.tree_build.partials_merged;
+  stats->tree_merge_seconds = prepared.tree_build.merge_seconds;
+}
+
+/// Body of both MineFromPrepared entries; `tree` is only read.
 RpGrowthResult MinePreparedTree(const PreparedMining& prepared,
                                 const TsPrefixTree& tree,
-                                TsPrefixTree* consumable,
                                 const RpParams& params,
                                 const RpGrowthOptions& options) {
   RPM_CHECK(params.Validate().ok()) << params.ToString();
@@ -827,39 +790,19 @@ RpGrowthResult MinePreparedTree(const PreparedMining& prepared,
       << " vs " << prepared.params.ToString();
   RpGrowthResult result;
   Stopwatch total;
-  result.stats.num_items = prepared.num_items;
-  result.stats.num_candidate_items = prepared.num_candidate_items;
-  result.stats.initial_tree_nodes = prepared.initial_tree_nodes;
-  result.stats.list_seconds = prepared.list_seconds;
-  result.stats.tree_seconds = prepared.tree_seconds;
-  result.stats.tree_build_threads = prepared.tree_build.threads_used;
-  result.stats.tree_partials_merged = prepared.tree_build.partials_merged;
-  result.stats.tree_merge_seconds = prepared.tree_build.merge_seconds;
+  FoldBuildStats(prepared, &result.stats);
 
   QueryBudget* budget = options.budget;
   if (budget != nullptr) budget->AddNodes(tree.NodeCount());
 
-  // Bottom-up mining (Algorithm 4): sequentially on this thread over the
-  // consumable tree, or over per-suffix-item projections on a worker pool.
+  // Bottom-up mining (Algorithm 4) over per-suffix-item projections.
   Stopwatch phase;
-  const size_t threads = ResolveThreadCount(options.num_threads);
-  if (threads <= 1) {
-    RPM_DCHECK(consumable == &tree);
-    const size_t tree_bytes = budget != nullptr ? tree.ApproxBytes() : 0;
-    if (budget != nullptr) {
-      budget->AddTrackedBytes(tree_bytes);  // May trip the memory stop.
-    }
-    MinerScratch scratch;
-    Miner miner(params, options, &result, &scratch);
-    MineSequentialTopLevel(consumable, &miner, budget, &result);
-    FoldScratchStats(scratch, &result.stats);
-    result.stats.mine_seconds = phase.ElapsedSeconds();
+  MineParallel(tree, params, options, ResolveThreadCount(options.num_threads),
+               &result);
+  result.stats.mine_seconds = phase.ElapsedSeconds();
+  // One worker ran the whole phase on this thread.
+  if (result.stats.threads_used == 1) {
     result.stats.mine_cpu_seconds = result.stats.mine_seconds;
-    result.stats.threads_used = 1;
-    if (budget != nullptr) budget->ReleaseTrackedBytes(tree_bytes);
-  } else {
-    MineParallel(tree, params, options, threads, &result);
-    result.stats.mine_seconds = phase.ElapsedSeconds();
   }
 
   if (budget != nullptr) result.status = budget->status();
@@ -873,17 +816,13 @@ RpGrowthResult MinePreparedTree(const PreparedMining& prepared,
 RpGrowthResult MineFromPrepared(const PreparedMining& prepared,
                                 TsPrefixTree tree, const RpParams& params,
                                 const RpGrowthOptions& options) {
-  return MinePreparedTree(prepared, tree, &tree, params, options);
+  return MinePreparedTree(prepared, tree, params, options);
 }
 
 RpGrowthResult MineFromPrepared(const PreparedMining& prepared,
                                 const RpParams& params,
                                 const RpGrowthOptions& options) {
-  if (ResolveThreadCount(options.num_threads) <= 1) {
-    TsPrefixTree clone = prepared.tree.Clone();
-    return MinePreparedTree(prepared, clone, &clone, params, options);
-  }
-  return MinePreparedTree(prepared, prepared.tree, nullptr, params, options);
+  return MinePreparedTree(prepared, prepared.tree, params, options);
 }
 
 RpGrowthResult MineRecurringPatterns(const TransactionDatabase& db,
@@ -891,28 +830,19 @@ RpGrowthResult MineRecurringPatterns(const TransactionDatabase& db,
                                      const RpGrowthOptions& options) {
   Stopwatch total;
   // The tree build parallelizes with the same knob as the mining phase.
-  PreparedMining prepared = PrepareMining(db, params, options.pruning,
-                                          options.budget,
-                                          options.num_threads);
+  const PreparedMining prepared = PrepareMining(
+      db, params, options.pruning, options.budget, options.num_threads);
   if (options.budget != nullptr && options.budget->hard_stopped()) {
     // The build itself was stopped; a partial tree must never be mined
     // (its ts-lists are incomplete, not a subproblem prefix).
     RpGrowthResult result;
-    result.stats.num_items = prepared.num_items;
-    result.stats.num_candidate_items = prepared.num_candidate_items;
-    result.stats.initial_tree_nodes = prepared.initial_tree_nodes;
-    result.stats.list_seconds = prepared.list_seconds;
-    result.stats.tree_seconds = prepared.tree_seconds;
-    result.stats.tree_build_threads = prepared.tree_build.threads_used;
-    result.stats.tree_partials_merged = prepared.tree_build.partials_merged;
-    result.stats.tree_merge_seconds = prepared.tree_build.merge_seconds;
+    FoldBuildStats(prepared, &result.stats);
     result.status = options.budget->status();
     result.truncated = true;
     result.stats.total_seconds = total.ElapsedSeconds();
     return result;
   }
-  RpGrowthResult result = MineFromPrepared(
-      prepared, std::move(prepared.tree), params, options);
+  RpGrowthResult result = MineFromPrepared(prepared, params, options);
   result.stats.total_seconds = total.ElapsedSeconds();
   return result;
 }

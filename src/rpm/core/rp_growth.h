@@ -45,7 +45,8 @@ struct RpGrowthOptions {
   /// explored (useful to bound ablation runs).
   size_t max_pattern_length = 0;
   /// Invoked once per discovered pattern, in discovery (not canonical)
-  /// order. Lets callers stream results to disk / aggregate counts without
+  /// order: top-level subproblems run heaviest first, not bottom-up. Lets
+  /// callers stream results to disk / aggregate counts without
   /// materialising the full set.
   std::function<void(const RecurringPattern&)> sink;
   /// When false, discovered patterns are only delivered to `sink` (and
@@ -53,13 +54,13 @@ struct RpGrowthOptions {
   /// thresholds can produce 10^4-10^5 patterns (Table 5); combined with a
   /// sink this caps memory at O(tree).
   bool store_patterns = true;
-  /// Worker threads: 1 = the sequential reference path, 0 = one per
-  /// hardware thread, N = exactly N. The RP-list scan is always
-  /// sequential; the initial RP-tree build partitions the transactions
-  /// across this many workers (see BuildRankedTree), and with N > 1 each
-  /// suffix item's conditional database is projected out of the tree and
-  /// the projections are mined concurrently. The pattern set, its
-  /// canonical order and all stats counters are identical for every
+  /// Worker threads: 0 = one per hardware thread, N = exactly N. The
+  /// RP-list scan is always sequential; the initial RP-tree build
+  /// partitions the transactions across this many workers (see
+  /// BuildRankedTree). Mining projects each suffix item's conditional
+  /// database out of the unmodified tree and mines the projections on
+  /// this many workers (1 = all on the calling thread). The pattern set,
+  /// its canonical order and all stats counters are identical for every
   /// value. `sink` callbacks are serialized (never concurrent), but their
   /// *order* is only deterministic at num_threads == 1.
   size_t num_threads = 1;
@@ -69,9 +70,10 @@ struct RpGrowthOptions {
   /// all-or-nothing per top-level suffix subproblem: the result holds the
   /// complete patterns of a contiguous prefix of the bottom-up
   /// (descending-rank) subproblem order, so a max_patterns cut is
-  /// bit-identical across sequential and parallel runs. Under an active
-  /// budget, `sink` is best-effort — it may observe patterns from
-  /// subproblems that are later dropped from the committed result.
+  /// bit-identical at every thread count. Subproblems past the cut may
+  /// still be mined before they are dropped. Under an active budget,
+  /// `sink` is best-effort — it may observe patterns from subproblems
+  /// that are later dropped from the committed result.
   QueryBudget* budget = nullptr;
 };
 
@@ -97,13 +99,12 @@ struct RpGrowthStats {
   size_t gate_lists_scanned = 0;    ///< Gate / interval scans performed.
   size_t gate_gaps_scanned = 0;     ///< Timestamp gaps evaluated in scans.
   size_t gate_gaps_simd = 0;        ///< Gaps evaluated at full vector width.
-  /// Peak bytes retained by the miner scratch pools (frames, run
-  /// descriptors, merge and mask buffers). Sequential: the single pool's
-  /// high-water mark; parallel: the largest per-worker pool.
+  /// Peak bytes retained by one miner scratch pool (frames, run
+  /// descriptors, merge and mask buffers): the largest per-worker pool.
   size_t scratch_bytes_peak = 0;
-  /// Bytes retained across ALL scratch pools together — the number
-  /// comparable between thread counts (equals scratch_bytes_peak when
-  /// sequential; the sum over per-worker pools when parallel).
+  /// Bytes retained across ALL per-worker scratch pools together — the
+  /// number comparable between thread counts (equals scratch_bytes_peak
+  /// at one worker).
   size_t scratch_bytes_total = 0;
   // RP-tree construction (see TreeBuildStats):
   size_t tree_build_threads = 1;    ///< Workers that built partial tries.
@@ -111,8 +112,7 @@ struct RpGrowthStats {
   double tree_merge_seconds = 0.0;  ///< Wall clock of the partial-trie fold.
   double list_seconds = 0.0;        ///< Wall clock of the RP-list scan.
   double tree_seconds = 0.0;        ///< Wall clock of RP-tree construction.
-  /// Wall clock of the mining phase (preorder layout + workers when
-  /// parallel).
+  /// Wall clock of the mining phase (preorder layout + workers).
   double mine_seconds = 0.0;
   /// Mining time summed across workers. Equals mine_seconds on one
   /// thread; exceeds it under parallelism (the ratio is the effective
@@ -165,11 +165,11 @@ RpGrowthResult MineRecurringPatterns(const TransactionDatabase& db,
 // anti-monotone and every per-pattern test is evaluated exactly from
 // TS^beta). The engine's planner builds once via PrepareMining and mines
 // many times via MineFromPrepared(const PreparedMining&, ...), which never
-// mutates the build: one thread mines a Clone() (push-up consumes the
-// tree it walks), more threads read the shared tree through a preorder
-// ts-list layout (core/projection.h) built and owned by the call — each
-// node's push-up accumulation is a contiguous span of it, so every worker
-// projects the suffix items it mines without a clone or a serial sweep.
+// mutates the build: at every thread count it reads the shared tree
+// through a preorder ts-list layout (core/projection.h) built and owned by
+// the call — each node's push-up accumulation is a contiguous span of it,
+// so every worker projects the suffix items it mines without a clone or a
+// serial sweep.
 
 /// Instrumentation of one RP-tree construction, folded into the tree_*
 /// fields of RpGrowthStats.
@@ -195,10 +195,9 @@ struct PreparedMining {
   RpList list;
   /// Candidate order of the tree (rank r holds items_by_rank[r]).
   std::vector<ItemId> items_by_rank;
-  /// The built tree, never mutated once built. Sequential mining consumes
-  /// the tree it walks, so it mines tree.Clone(); parallel mining reads
-  /// this copy directly (through a TsPreorderLayout it builds per call),
-  /// so concurrent queries may share one build.
+  /// The built tree, never mutated once built. Mining reads it directly
+  /// (through a TsPreorderLayout it builds per call), so concurrent
+  /// queries may share one build.
   TsPrefixTree tree{std::vector<ItemId>{}};
   // Build-phase stats, folded into every MineFromPrepared result:
   size_t num_items = 0;
@@ -249,9 +248,8 @@ TsPrefixTree BuildRankedTree(const TransactionDatabase& db,
                              size_t num_threads = 1,
                              TreeBuildStats* stats = nullptr);
 
-/// Pass 3 (bottom-up mining) over `prepared`'s build, which is left
-/// untouched: at num_threads <= 1 it mines a Clone(), otherwise it mines
-/// prepared.tree read-only (safe to call concurrently on one build).
+/// Pass 3 (bottom-up mining) over `prepared`'s build, which is only read
+/// (safe to call concurrently on one build).
 /// `params` must be no looser than prepared.params: same period and
 /// max_gap_violations, params.min_ps >= prepared.params.min_ps,
 /// params.min_rec >= prepared.params.min_rec (checked). options.pruning
@@ -266,8 +264,7 @@ RpGrowthResult MineFromPrepared(const PreparedMining& prepared,
                                 const RpGrowthOptions& options = {});
 
 /// The same over a caller-supplied `tree` from `prepared` (the master moved
-/// out, or a Clone()), consumed at num_threads <= 1 and only read
-/// otherwise.
+/// out, or a Clone()), which is only read.
 RpGrowthResult MineFromPrepared(const PreparedMining& prepared,
                                 TsPrefixTree tree, const RpParams& params,
                                 const RpGrowthOptions& options = {});

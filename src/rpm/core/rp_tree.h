@@ -14,7 +14,7 @@
 // child rank — exactly the node's span in a preorder layout of every
 // ts-list (children visited by descending rank). TsPreorderLayout
 // (core/projection.h) builds that layout once over an unmined tree, which
-// lets the parallel miner read every node's push-up accumulation without
+// lets the miner read every node's push-up accumulation without
 // consuming, or cloning, the tree.
 //
 // The structure is shared by RP-growth and the PF-growth++ baseline; the
@@ -35,9 +35,9 @@ namespace rpm {
 
 /// Prefix tree keyed by item *rank* (0 = first item of the tree's order).
 /// Owns its nodes via an arena (bump-allocated, bulk-freed with the tree);
-/// not copyable (sequential mining mutates it in place) — repeated
-/// sequential mining over one build goes through Clone(), while the
-/// parallel miner reads a shared build through TsPreorderLayout.
+/// not copyable (conditional-tree mining mutates it in place) — the
+/// top-level miner reads a shared build through TsPreorderLayout, and an
+/// independent copy goes through Clone().
 class TsPrefixTree {
  public:
   struct Node {

@@ -54,8 +54,7 @@ class Executor {
 
   /// Runs `query` against the planner's snapshot. The planner supplies
   /// (and caches) the RP-list/RP-tree build; execution never mutates it
-  /// (the sequential backend mines a clone, the parallel backend reads the
-  /// cached tree in place). Errors: invalid query, or a query outside this
+  /// (both mining backends read the cached tree in place). Errors: invalid query, or a query outside this
   /// backend's model (windowed with tolerance, top-k or no window).
   virtual Result<QueryResult> Execute(QueryPlanner& planner,
                                       const Query& query,

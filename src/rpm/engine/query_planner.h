@@ -51,9 +51,9 @@ class QueryPlanner {
 
   /// Returns a build able to serve `params` (must validate): a cached
   /// build with the same period/tolerance and thresholds no stricter than
-  /// `params` (the *tightest* such build, minimizing clone or layout size
-  /// and dead exploration), else a fresh build at exactly `params` (cached
-  /// for later queries). Mining never consumes plan.prepared->tree (see
+  /// `params` (the *tightest* such build, minimizing layout size and dead
+  /// exploration), else a fresh build at exactly `params` (cached
+  /// for later queries). Mining only reads plan.prepared->tree (see
   /// MineFromPrepared).
   ///
   /// A non-null `budget` governs any fresh build (checkpoints in the

@@ -37,7 +37,8 @@ Status ApplyQueryField(const std::string& key, const JsonValue& value,
   } else if (key == "max_memory_mb") {
     uint64_t mb = 0;
     RPM_ASSIGN_OR_RETURN(mb, value.GetUint64(key));
-    q.limits.memory_budget_bytes = mb * 1024ull * 1024ull;
+    RPM_ASSIGN_OR_RETURN(q.limits.memory_budget_bytes,
+                         MebibytesToBytes(mb, key));
   } else if (key == "max_patterns") {
     RPM_ASSIGN_OR_RETURN(q.limits.max_patterns, value.GetUint64(key));
   } else if (key == "window") {

@@ -54,7 +54,8 @@ struct Request {
   engine::Query query;
   engine::BackendKind backend = engine::BackendKind::kSequential;
   /// Parallel-backend workers (serve default 1: thread count stays
-  /// bounded by sessions, not multiplied by them).
+  /// bounded by sessions, not multiplied by them). The service clamps it
+  /// to the hardware thread count.
   uint64_t threads = 1;
   /// False suppresses the "meta" object for byte-deterministic replies.
   bool want_meta = true;

@@ -1,9 +1,11 @@
 #include "rpm/serve/service.h"
 
+#include <algorithm>
 #include <exception>
 #include <memory>
 #include <utility>
 
+#include "rpm/core/thread_pool.h"
 #include "rpm/engine/dataset_snapshot.h"
 #include "rpm/engine/executor.h"
 #include "rpm/serve/wire.h"
@@ -142,7 +144,10 @@ Result<std::string> QueryService::Execute(
     const engine::Query& query, bool* cacheable_out,
     bool* tree_reused_out) {
   engine::ExecOptions exec;
-  exec.threads = static_cast<size_t>(request.threads);
+  // The wire count is client-chosen: never spawn more mining or build
+  // workers than the machine has hardware threads.
+  exec.threads = std::min(ResolveThreadCount(request.threads),
+                          ResolveThreadCount(0));
   RPM_ASSIGN_OR_RETURN(engine::QueryResult result,
                        engine::GetExecutor(request.backend)
                            .Execute(*dataset.planner, query, exec));

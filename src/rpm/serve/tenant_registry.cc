@@ -36,6 +36,9 @@ Status ApplyConfigObject(const JsonValue& object, TenantQuotas* quotas,
                            value.GetUint64(key));
     } else if (key == "memory_ceiling_mb") {
       RPM_ASSIGN_OR_RETURN(quotas->memory_ceiling_mb, value.GetUint64(key));
+      // ClampLimits scales the ceiling to bytes; refuse one that wraps.
+      RPM_RETURN_NOT_OK(
+          MebibytesToBytes(quotas->memory_ceiling_mb, key).status());
     } else if (key == "max_patterns") {
       RPM_ASSIGN_OR_RETURN(quotas->max_patterns, value.GetUint64(key));
     } else {

@@ -65,7 +65,8 @@ Result<engine::Query> MiningQueryFlags::ToQuery(size_t db_size) const {
   query.closed = closed;
   query.maximal = maximal;
   query.limits.timeout_ms = static_cast<int64_t>(timeout_ms);
-  query.limits.memory_budget_bytes = max_memory_mb * 1024 * 1024;
+  RPM_ASSIGN_OR_RETURN(query.limits.memory_budget_bytes,
+                       MebibytesToBytes(max_memory_mb, "--max-memory-mb"));
   query.limits.max_patterns = max_patterns;
   query.window = window;
   query.delta = delta;

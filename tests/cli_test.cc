@@ -82,6 +82,40 @@ TEST(CliTest, MinePaperExampleFindsTable2) {
   std::remove(path.c_str());
 }
 
+TEST(CliTest, MineFarFutureTimeoutReturnsEveryPattern) {
+  // A timeout past the clock's range means "effectively none", not an
+  // already-expired deadline. The database is large enough for mining to
+  // reach a deadline probe.
+  rpm::testing::RandomDbSpec spec;
+  spec.num_items = 10;
+  spec.num_timestamps = 400;
+  spec.item_base_prob = 0.4;
+  spec.num_bursts = 6;
+  const std::string path =
+      ::testing::TempDir() + "/rpminer_cli_far_deadline.tspmf";
+  {
+    std::ofstream file(path);
+    WriteTimestampedSpmf(rpm::testing::MakeRandomDb(spec, /*seed=*/17),
+                         &file);
+  }
+  std::string want, out, err;
+  ASSERT_EQ(RunCli({"rpminer", "mine", "--input", path.c_str(), "--per=3",
+                 "--min-ps=2", "--min-rec=2"},
+                &want, &err),
+            0)
+      << err;
+  ASSERT_EQ(RunCli({"rpminer", "mine", "--input", path.c_str(), "--per=3",
+                 "--min-ps=2", "--min-rec=2",
+                 "--timeout-ms=10000000000000"},
+                &out, &err),
+            0)
+      << err;
+  EXPECT_EQ(err.find("stopped early"), std::string::npos) << err;
+  EXPECT_FALSE(want.empty());
+  EXPECT_EQ(out, want);
+  std::remove(path.c_str());
+}
+
 TEST(CliTest, MineJsonOutput) {
   std::string path = WritePaperExampleFile();
   std::string out, err;

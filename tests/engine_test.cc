@@ -565,18 +565,21 @@ TEST(EngineConcurrencyTest, ParallelQueriesMineOneCachedBuildReadOnly) {
   const size_t nodes = build->tree.NodeCount();
   const size_t timestamps = build->tree.TimestampCount();
 
-  // Four threads mine the one cached build in parallel at once: each
-  // query's workers read the shared tree while other queries' do too.
+  // Four threads mine the one cached build at once, half on the parallel
+  // backend and half on the one-worker sequential one: each query reads
+  // the shared tree while other queries' workers do too.
   constexpr int kThreads = 4;
   constexpr int kRounds = 3;
   std::vector<Result<QueryResult>> got(
       kThreads * kRounds, Status::Unknown("not run"));
   std::vector<std::thread> threads;
   for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&, t]() {
+    const BackendKind backend =
+        t % 2 == 0 ? BackendKind::kParallel : BackendKind::kSequential;
+    threads.emplace_back([&, t, backend]() {
       for (int round = 0; round < kRounds; ++round) {
         got[t * kRounds + round] =
-            session.Run(MakeQuery(params), BackendKind::kParallel, exec);
+            session.Run(MakeQuery(params), backend, exec);
       }
     });
   }

@@ -5,11 +5,14 @@
 // committed prefix on every backend and every run.
 
 #include <chrono>
+#include <cstdint>
+#include <limits>
 #include <memory>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "rpm/common/deadline.h"
 #include "rpm/core/cancellation.h"
 #include "rpm/engine/session.h"
 #include "rpm/verify/fault_injection.h"
@@ -181,6 +184,36 @@ TEST(GovernanceTest, WallClockDeadlineStopsPromptly) {
         << result.status.ToString();
     EXPECT_TRUE(result.truncated);
     EXPECT_LT(elapsed.count(), 5000) << "query ran far past its deadline";
+  }
+}
+
+TEST(GovernanceTest, FarFutureDeadlineSaturatesAndNeverExpires) {
+  // 1e13 ms is past steady_clock's nanosecond range: the deadline must
+  // saturate at the clock's last instant instead of wrapping into the past.
+  for (int64_t ms : {int64_t{10000000000000},
+                     std::numeric_limits<int64_t>::max()}) {
+    const Deadline deadline = Deadline::AfterMillis(ms);
+    EXPECT_FALSE(deadline.Expired()) << ms;
+    EXPECT_GT(deadline.RemainingMillis(), int64_t{1} << 40) << ms;
+  }
+  EXPECT_TRUE(
+      Deadline::AfterMillis(std::numeric_limits<int64_t>::min()).Expired());
+
+  auto snapshot = DatasetSnapshot::Create(GovernanceDb());
+  Query ungoverned;
+  ungoverned.params = GovernanceParams();
+  QuerySession reference_session(snapshot);
+  const QueryResult full =
+      RunOrDie(reference_session, ungoverned, BackendKind::kSequential);
+  Query query = ungoverned;
+  query.limits.timeout_ms = 10000000000000;
+  for (BackendKind backend : kPlannedBackends) {
+    QuerySession session(snapshot);
+    QueryResult result = RunOrDie(session, query, backend);
+    EXPECT_TRUE(result.status.ok())
+        << engine::BackendName(backend) << ": " << result.status.ToString();
+    EXPECT_FALSE(result.truncated);
+    EXPECT_EQ(result.patterns, full.patterns);
   }
 }
 

@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -79,6 +80,11 @@ TEST(MiningFlagsTest, GovernanceFlagsFlowIntoQueryLimits) {
   EXPECT_EQ(q.limits.memory_budget_bytes, 64ull * 1024 * 1024);
   EXPECT_EQ(q.limits.max_patterns, 1000u);
   EXPECT_FALSE(q.limits.unlimited());
+
+  // A MiB count whose byte count overflows is refused, not wrapped.
+  MiningQueryFlags huge;
+  huge.max_memory_mb = (uint64_t{1} << 44) + 1;
+  EXPECT_TRUE(huge.ToQuery(100).status().IsInvalidArgument());
 }
 
 TEST(MiningFlagsTest, WindowAndDeltaFlowIntoQuery) {

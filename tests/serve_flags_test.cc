@@ -5,6 +5,7 @@
 
 #include "rpm/tools/serve_flags.h"
 
+#include <cstdint>
 #include <sstream>
 #include <vector>
 
@@ -142,6 +143,24 @@ TEST(ServeFlags, TenantConfigOverridesAndClamps) {
       "{\"tenant\":\"x\",\"max_queued\":1}\n"
       "{\"tenant\":\"x\",\"max_queued\":2}\n");
   EXPECT_FALSE(dup.LoadConfig(twice).ok());
+}
+
+TEST(ServeFlags, TenantConfigRejectsMemoryCeilingWhoseByteCountOverflows) {
+  // 2^44 - 1 MiB still fits a uint64 byte count and clamps exactly.
+  serve::TenantRegistry registry;
+  std::istringstream largest(
+      "{\"tenant\":\"big\",\"memory_ceiling_mb\":17592186044415}\n");
+  ASSERT_TRUE(registry.LoadConfig(largest).ok());
+  EXPECT_EQ(registry.QuotasFor("big").ClampLimits({}).memory_budget_bytes,
+            ((uint64_t{1} << 44) - 1) << 20);
+  // 2^44 + 1 MiB would wrap to a 1 MiB ceiling.
+  serve::TenantRegistry wraps;
+  std::istringstream config(
+      "{\"tenant\":\"x\",\"memory_ceiling_mb\":17592186044417}\n");
+  const Status status = wraps.LoadConfig(config);
+  EXPECT_TRUE(status.IsInvalidArgument()) << status.ToString();
+  EXPECT_NE(status.message().find("memory_ceiling_mb"), std::string::npos)
+      << status.ToString();
 }
 
 }  // namespace

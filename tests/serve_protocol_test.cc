@@ -5,6 +5,7 @@
 
 #include "rpm/serve/protocol.h"
 
+#include <cstdint>
 #include <string>
 
 #include "gtest/gtest.h"
@@ -96,6 +97,28 @@ TEST(ParseRequest, RejectsIncoherentRequests) {
     EXPECT_TRUE(r.status().IsInvalidArgument()) << name;
     EXPECT_NE(r.status().message().find("sequential, parallel or windowed"),
               std::string::npos)
+        << r.status().ToString();
+  }
+}
+
+TEST(ParseRequest, RejectsMaxMemoryMbWhoseByteCountOverflows) {
+  const auto request = [](const std::string& mb) {
+    return ParseRequest(
+        "{\"op\":\"query\",\"dataset\":\"d\",\"per\":2,\"min_rec\":2,"
+        "\"max_memory_mb\":" + mb + "}");
+  };
+  // 2^44 - 1 MiB is the largest byte count a uint64 holds.
+  Result<Request> largest = request("17592186044415");
+  ASSERT_TRUE(largest.ok()) << largest.status().ToString();
+  EXPECT_EQ(largest->query.limits.memory_budget_bytes,
+            ((uint64_t{1} << 44) - 1) << 20);
+  // 2^44 and 2^44 + 1 MiB would wrap to a 0 or 1 MiB budget.
+  for (const char* mb : {"17592186044416", "17592186044417",
+                         "18446744073709551615"}) {
+    Result<Request> r = request(mb);
+    ASSERT_FALSE(r.ok()) << mb;
+    EXPECT_TRUE(r.status().IsInvalidArgument()) << r.status().ToString();
+    EXPECT_NE(r.status().message().find("max_memory_mb"), std::string::npos)
         << r.status().ToString();
   }
 }

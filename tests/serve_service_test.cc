@@ -8,13 +8,18 @@
 #include <fstream>
 #include <memory>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "gtest/gtest.h"
+#include "rpm/core/thread_pool.h"
 #include "rpm/engine/dataset_snapshot.h"
 #include "rpm/engine/snapshot_registry.h"
 #include "rpm/serve/protocol.h"
 #include "rpm/serve/tenant_registry.h"
 #include "rpm/serve/wire.h"
+#include "rpm/timeseries/tdb_builder.h"
+#include "rpm/verify/fault_injection.h"
 #include "test_util.h"
 
 namespace rpm::serve {
@@ -125,6 +130,45 @@ TEST_F(ServiceTest, BackendsAgreeOnTheWire) {
   const std::string parallel = fresh.HandleLine(PaperQuery(
       "q", ",\"meta\":false,\"backend\":\"parallel\",\"threads\":2"));
   EXPECT_EQ(sequential, parallel);
+}
+
+TEST_F(ServiceTest, ClientThreadCountIsClampedToHardware) {
+  // 64 items, each alone every 64 time units: 64 candidate ranks, so an
+  // unclamped request would mine on 64 workers. 256 transactions keep the
+  // tree build on one partition.
+  ItemDictionary dict;
+  std::vector<std::pair<Timestamp, Itemset>> rows;
+  for (ItemId item = 0; item < 64; ++item) {
+    std::string name = "i";
+    name += std::to_string(item);
+    dict.GetOrAdd(name);
+  }
+  for (Timestamp ts = 0; ts < 256; ++ts) {
+    rows.push_back({ts, {static_cast<ItemId>(ts % 64)}});
+  }
+  ASSERT_TRUE(registry_
+                  .Register("wide", engine::DatasetSnapshot::Create(
+                                        MakeDatabase(rows, std::move(dict))))
+                  .ok());
+  QueryService service = MakeService();
+
+  // Every worker past the calling thread is one threadpool.spawn hit.
+  FaultInjectionOptions count_spawns;
+  count_spawns.site_filter = "threadpool.spawn";
+  count_spawns.probability_ppm = 0;
+  ScopedFaultInjection armed(count_spawns);
+  const JsonValue response = MustParse(service.HandleLine(
+      "{\"op\":\"query\",\"id\":\"w\",\"dataset\":\"wide\",\"per\":64,"
+      "\"min_ps\":2,\"min_rec\":1,\"backend\":\"parallel\","
+      "\"threads\":1000000}"));
+  EXPECT_EQ(StatusOf(response), "OK");
+  ASSERT_NE(response.Find("pattern_count"), nullptr);
+  EXPECT_EQ(response.Find("pattern_count")->number, 64.0);
+  const auto sites = FaultInjector::Instance().SiteCounts();
+  const auto spawns = sites.find("threadpool.spawn");
+  const uint64_t workers =
+      1 + (spawns == sites.end() ? 0 : spawns->second.first);
+  EXPECT_LE(workers, ResolveThreadCount(0));
 }
 
 TEST_F(ServiceTest, TruncatedResultsAreNeverCached) {
