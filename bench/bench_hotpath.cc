@@ -189,6 +189,7 @@ int main() {
       json.Add("patterns_emitted", s.patterns_emitted);
       json.Add("wall_seconds", s.total_seconds);
       json.Add("mine_seconds", s.mine_seconds);
+      json.Add("layout_seconds", s.layout_seconds);
       json.Add("list_seconds", s.list_seconds);
       json.Add("tree_seconds", s.tree_seconds);
       json.Add("merge_invocations", s.merge_invocations);

@@ -1,19 +1,20 @@
 // Thread-scaling of parallel RP-growth on the Table-7 datasets: mines one
 // mining-heavy Table-4 cell per dataset at 1/2/4/8 worker threads and
-// reports wall seconds, per-phase split, and speedup vs the sequential
-// run — now including the partitioned RP-tree build (tree_s plus the
-// fold's partial/merge stats). Emits BENCH_parallel_scaling.json (see
-// bench_util.h JsonRecords; the document header carries
-// hardware_concurrency so readers can tell real scaling from a saturated
-// host) next to the console table.
+// reports wall seconds, per-phase split, and speedup vs the one-thread
+// run — including the root-sharded RP-tree build (tree_s plus the shard
+// splice's stats) and the preorder layout that opens the mining phase.
+// Emits BENCH_parallel_scaling.json (see bench_util.h JsonRecords; the
+// document header carries hardware_concurrency so readers can tell real
+// scaling from a saturated host) next to the console table.
 //
 // Expected shape: patterns_emitted is bit-identical across thread counts
 // (the bench aborts if not); mine-phase wall time falls with threads up to
-// the hardware's parallelism, and tree construction now partitions as
-// well (its Amdahl share shrinks to the partial-trie fold, which stays
-// sequential). On a single-core container every thread count costs the
-// same — the speedup column then just documents that the parallel path
-// adds no overhead.
+// the hardware's parallelism, and so do the tree build (one shard of
+// root-child subtrees per worker, spliced in parallel over ranks) and the
+// layout (one task per root-child subtree). What stays serial is the
+// RP-list scan and the lowest-rank pass that cuts the shards. On a
+// single-core host every thread count costs the same — the speedup column
+// then just documents that the parallel path adds no overhead.
 
 #include <cstdio>
 #include <thread>
@@ -62,9 +63,10 @@ int main() {
   int mismatches = 0;
   std::printf("hardware_concurrency=%u\n\n",
               std::thread::hardware_concurrency());
-  std::printf("%-12s %-8s %8s %10s %10s %10s %10s %9s %10s %6s %8s\n",
+  std::printf("%-12s %-8s %8s %10s %10s %10s %10s %9s %10s %6s %9s %9s\n",
               "dataset", "threads", "patterns", "wall_s", "tree_s", "mine_s",
-              "cpu_s", "speedup", "mine_spdup", "build", "merge_ms");
+              "cpu_s", "speedup", "mine_spdup", "build", "splice_ms",
+              "layout_ms");
   for (const Workload& w : workloads) {
     rpm::Result<rpm::RpParams> params = rpm::MakeParamsWithMinPsFraction(
         w.per, w.min_ps_frac, w.min_rec, w.db->size());
@@ -93,11 +95,11 @@ int main() {
       const double mine_speedup =
           s.mine_seconds > 0.0 ? base_mine / s.mine_seconds : 0.0;
       std::printf("%-12s %-8zu %8zu %10.3f %10.3f %10.3f %10.3f %8.2fx "
-                  "%9.2fx %6zu %8.2f\n",
+                  "%9.2fx %6zu %9.2f %9.2f\n",
                   w.dataset, threads, s.patterns_emitted, s.total_seconds,
                   s.tree_seconds, s.mine_seconds, s.mine_cpu_seconds, speedup,
                   mine_speedup, s.tree_build_threads,
-                  s.tree_merge_seconds * 1000.0);
+                  s.tree_merge_seconds * 1000.0, s.layout_seconds * 1000.0);
       std::fflush(stdout);
 
       json.BeginRecord();
@@ -112,6 +114,7 @@ int main() {
       json.Add("list_seconds", s.list_seconds);
       json.Add("tree_seconds", s.tree_seconds);
       json.Add("mine_seconds", s.mine_seconds);
+      json.Add("layout_seconds", s.layout_seconds);
       json.Add("mine_cpu_seconds", s.mine_cpu_seconds);
       json.Add("speedup", speedup);
       json.Add("mine_speedup", mine_speedup);

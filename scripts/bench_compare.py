@@ -42,6 +42,7 @@ TIME_FIELDS = [
     "list_seconds",
     "tree_seconds",
     "mine_seconds",
+    "layout_seconds",
     "tree_merge_seconds",
     "per_delta_seconds",
     "batch_remine_seconds",

@@ -6,8 +6,10 @@
 #
 # The TSan stage uses a separate build tree (build-tsan/) configured with
 # -DRPM_SANITIZE=thread so instrumented objects never mix with the
-# release build, and runs only the parallel-miner test there (the rest of
-# the suite is single-threaded and already covered by stage 1).
+# release build, and runs the tests of concurrent code there: the
+# parallel miner, the sharded tree build and layout, the engine and the
+# server (the rest of the suite is single-threaded and already covered by
+# stage 1).
 #
 # The bench-smoke stage runs the hot-path benchmark at a tiny scale
 # (RPM_BENCH_SCALE set via the ctest "perf" label's environment) and
@@ -119,9 +121,11 @@ echo "== stage 6: ThreadSanitizer on the parallel miner + query engine =="
 cmake -B build-tsan -S . -DRPM_SANITIZE=thread \
       -DRPM_BUILD_BENCHMARKS=OFF -DRPM_BUILD_EXAMPLES=OFF >/dev/null
 cmake --build build-tsan -j"${JOBS}" --target rp_growth_parallel_test \
-      engine_test governance_test windowed_miner_test \
-      serve_server_test planner_stress_test rpminer
+      tree_build_parallel_test engine_test governance_test \
+      windowed_miner_test serve_server_test planner_stress_test rpminer
 ./build-tsan/tests/rp_growth_parallel_test
+# Shard workers, the parallel splice and the per-subtree parallel layout.
+./build-tsan/tests/tree_build_parallel_test
 # Concurrent QuerySession::Run over one shared snapshot/planner.
 ./build-tsan/tests/engine_test
 # Budget checkpoints and prefix-commit truncation under TSan.

@@ -12,6 +12,7 @@
 #define RPM_CORE_ARENA_H_
 
 #include <cstddef>
+#include <iterator>
 #include <memory>
 #include <utility>
 #include <vector>
@@ -59,6 +60,19 @@ class Arena {
         reinterpret_cast<T*>(chunks_.back()->storage) + used_in_last_;
     ++used_in_last_;
     return ::new (static_cast<void*>(slot)) T(std::forward<Args>(args)...);
+  }
+
+  /// Takes over every object of `other`, which is left empty; they live
+  /// until this arena is destroyed or Reset(), at unchanged addresses.
+  /// `other`'s last chunk is first padded with default-constructed
+  /// objects, so every chunk but this arena's own last one stays full.
+  void Adopt(Arena&& other) {
+    if (other.chunks_.empty()) return;
+    while (other.used_in_last_ < ChunkCapacity) other.Create();
+    chunks_.insert(chunks_.empty() ? chunks_.end() : chunks_.end() - 1,
+                   std::make_move_iterator(other.chunks_.begin()),
+                   std::make_move_iterator(other.chunks_.end()));
+    other.chunks_.clear();
   }
 
   /// Destroys every allocated object and frees all chunks.

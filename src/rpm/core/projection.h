@@ -22,9 +22,10 @@
 // Determinism: each span is element for element the list the consuming
 // sweep (collect a rank, PushUpAndRemove, next rank) would hold, so every
 // path, every run split and every TS^item merge — and with them the
-// merge counters — equal the consuming sweep's. The layout is a function
-// of the node-link chains and ranks only (never of sibling-list order,
-// which the parallel tree build's fold permutes).
+// merge counters — equal the consuming sweep's. The layout orders every
+// node's children by rank itself, so it never depends on sibling-list
+// order (which the shard splice permutes at the root, and Clone() and
+// the builders order differently below it).
 
 #ifndef RPM_CORE_PROJECTION_H_
 #define RPM_CORE_PROJECTION_H_
@@ -41,14 +42,18 @@ namespace rpm {
 
 /// Every ts-list of an unmined tree in preorder (children by descending
 /// rank), so that each node's push-up accumulation is one contiguous span.
-/// Built in two chain passes: bottom-up subtree sizes, then top-down
-/// offsets (each parent hands out its span from the end, lowest-rank child
-/// last). O(nodes + timestamps); the tree must outlive the layout and stay
-/// unmutated while it is read. Immutable after construction, so any number
-/// of threads may read one layout concurrently.
+/// Root-child subtrees share no node, so each is one task of two
+/// depth-first passes on `num_threads` workers: subtree sizes, then
+/// offsets (each parent hands out its span from the end to its children
+/// in ascending rank, so the lowest-rank child lands last). Only the sum
+/// over the root's children runs serially between the passes. Small
+/// trees stay on one worker. O(nodes + timestamps); the tree must outlive
+/// the layout and stay unmutated while it is read. Immutable after
+/// construction, so any number of threads may read one layout
+/// concurrently.
 class TsPreorderLayout {
  public:
-  explicit TsPreorderLayout(const TsPrefixTree& tree);
+  explicit TsPreorderLayout(const TsPrefixTree& tree, size_t num_threads = 1);
 
   /// The timestamps `node` holds once every deeper rank has been pushed up.
   std::span<const Timestamp> SpanOf(const TsPrefixTree::Node& node) const {

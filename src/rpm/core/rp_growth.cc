@@ -436,7 +436,9 @@ void MineParallel(const TsPrefixTree& tree, const RpParams& params,
                   const RpGrowthOptions& options, size_t threads,
                   RpGrowthResult* result) {
   QueryBudget* budget = options.budget;
-  const TsPreorderLayout layout(tree);
+  Stopwatch layout_watch;
+  const TsPreorderLayout layout(tree, threads);
+  result->stats.layout_seconds = layout_watch.ElapsedSeconds();
   const size_t layout_bytes = budget != nullptr ? layout.ApproxBytes() : 0;
   if (budget != nullptr) budget->AddTrackedBytes(layout_bytes);
 
@@ -626,41 +628,50 @@ PreparedMining PrepareMining(const TransactionDatabase& db,
 
 namespace {
 
-/// Don't split the build below this many transactions per partition: a
-/// tiny partial trie costs more to fold than its build saves. Chosen so
-/// the parallel path engages on the test corpora (>= 1024 transactions at
-/// two workers) while toy databases stay on the sequential reference.
-constexpr size_t kMinTransactionsPerBuildPartition = 256;
+/// Don't shard the build below this many transactions per shard: a tiny
+/// shard costs more to set up and splice than its build saves. Chosen so
+/// sharding engages on the test corpora (>= 512 transactions at two
+/// workers) while toy databases stay on one shard.
+constexpr size_t kMinTransactionsPerBuildShard = 256;
 
-/// Inserts transactions [begin, end) of `db` into `tree`, checkpointing
-/// the budget per transaction and reporting the tree's byte growth.
-/// Returns the bytes reported (the caller releases them when the build's
-/// accounting nets out).
-size_t InsertTransactionRange(const TransactionDatabase& db,
-                              const std::vector<uint32_t>& rank_of,
-                              size_t begin, size_t end, QueryBudget* budget,
-                              TsPrefixTree* tree) {
+/// Inserts, in database order, every transaction of `db` whose lowest
+/// candidate rank lies in [lo, hi) into `tree` — every transaction when
+/// `lowest_rank` is null. Checkpoints the budget per transaction and
+/// reports the tree's byte growth, keeping the running total in
+/// *reported_bytes so the caller can release it even if an insert throws.
+/// When `first_touch` is non-null it maps each new node's seq to the
+/// database index of the transaction that created it (Splice's key).
+void InsertShard(const TransactionDatabase& db,
+                 const std::vector<uint32_t>& rank_of,
+                 const std::vector<uint32_t>* lowest_rank, uint32_t lo,
+                 uint32_t hi, QueryBudget* budget, TsPrefixTree* tree,
+                 std::vector<uint32_t>* first_touch, size_t* reported_bytes) {
   BudgetCheckpointer checkpoint(budget);
-  size_t reported_bytes = 0;
   std::vector<uint32_t> ranks;
-  for (size_t i = begin; i < end; ++i) {
+  const std::vector<Transaction>& transactions = db.transactions();
+  for (size_t i = 0; i < transactions.size(); ++i) {
+    if (lowest_rank != nullptr &&
+        ((*lowest_rank)[i] < lo || (*lowest_rank)[i] >= hi)) {
+      continue;
+    }
     if (checkpoint.Check()) break;  // Partial build; the caller discards.
-    const Transaction& tr = db.transactions()[i];
     ranks.clear();
-    for (ItemId item : tr.items) {
+    for (ItemId item : transactions[i].items) {
       if (rank_of[item] != kNotCandidate) ranks.push_back(rank_of[item]);
     }
     std::sort(ranks.begin(), ranks.end());
-    tree->InsertTransaction(ranks, tr.ts);
+    tree->InsertTransaction(ranks, transactions[i].ts);
+    if (first_touch != nullptr) {
+      first_touch->resize(tree->NodeSeqBound(), static_cast<uint32_t>(i));
+    }
     if (budget != nullptr) {
       const size_t now = tree->ApproxBytes();
-      if (now > reported_bytes) {
-        budget->AddTrackedBytes(now - reported_bytes);  // May trip memory.
-        reported_bytes = now;
+      if (now > *reported_bytes) {
+        budget->AddTrackedBytes(now - *reported_bytes);  // May trip memory.
+        *reported_bytes = now;
       }
     }
   }
-  return reported_bytes;
 }
 
 }  // namespace
@@ -678,85 +689,96 @@ TsPrefixTree BuildRankedTree(const TransactionDatabase& db,
   }
   if (stats != nullptr) *stats = TreeBuildStats{};
   const size_t num_transactions = db.transactions().size();
-  const size_t partitions = std::min(
-      ResolveThreadCount(num_threads),
-      std::max<size_t>(1, num_transactions / kMinTransactionsPerBuildPartition));
+  RPM_CHECK(num_transactions <= std::numeric_limits<uint32_t>::max());
+  const size_t threads = ResolveThreadCount(num_threads);
+  const size_t num_shards = std::min(
+      threads,
+      std::max<size_t>(1, num_transactions / kMinTransactionsPerBuildShard));
+  const uint32_t num_ranks = static_cast<uint32_t>(items_by_rank.size());
 
-  if (partitions <= 1) {
-    // Sequential reference path.
-    TsPrefixTree tree(items_by_rank);
-    const size_t reported =
-        InsertTransactionRange(db, rank_of, 0, num_transactions, budget,
-                               &tree);
-    // Net the build-time accounting back out (the peak was captured); the
-    // caller re-tracks the finished tree for its mining phase.
-    if (budget != nullptr) budget->ReleaseTrackedBytes(reported);
-    return tree;
+  // Root-rank shards: every node below a root child is created only by
+  // transactions whose lowest rank is that child's, so shards keyed on
+  // the lowest rank build disjoint subtrees. Shard k owns the contiguous
+  // rank range [shard_begin[k], shard_begin[k + 1]), cut where the
+  // cumulative candidate length of the transactions starting at each rank
+  // crosses k / num_shards of the total. Index arithmetic only, so the
+  // decomposition is deterministic for a given (db, num_shards).
+  std::vector<uint32_t> lowest_rank;
+  std::vector<uint32_t> shard_begin(num_shards + 1, num_ranks);
+  shard_begin[0] = 0;
+  if (num_shards > 1) {
+    lowest_rank.assign(num_transactions, kNotCandidate);
+    std::vector<uint64_t> weight(num_ranks, 0);
+    uint64_t total = 0;
+    for (size_t i = 0; i < num_transactions; ++i) {
+      uint32_t lowest = kNotCandidate;
+      uint64_t length = 0;
+      for (ItemId item : db.transactions()[i].items) {
+        const uint32_t rank = rank_of[item];
+        if (rank == kNotCandidate) continue;
+        lowest = std::min(lowest, rank);
+        ++length;
+      }
+      if (length == 0) continue;
+      lowest_rank[i] = lowest;
+      weight[lowest] += length;
+      total += length;
+    }
+    uint64_t before = 0;  // Weight of the ranks below `rank`.
+    size_t shard = 0;
+    for (uint32_t rank = 0; rank < num_ranks; ++rank) {
+      const size_t owner = std::min<size_t>(
+          num_shards - 1, total == 0 ? 0 : before * num_shards / total);
+      while (shard < owner) shard_begin[++shard] = rank;
+      before += weight[rank];
+    }
   }
 
-  // Parallel path: one partial trie per contiguous transaction range.
-  // Partition boundaries are index arithmetic, so the decomposition is
-  // deterministic for a given (db, partitions).
-  std::vector<TsPrefixTree> partials;
-  partials.reserve(partitions);
-  for (size_t p = 0; p < partitions; ++p) partials.emplace_back(items_by_rank);
-  std::vector<size_t> reported(partitions, 0);
-  const auto partition_begin = [&](size_t p) {
-    return num_transactions * p / partitions;
+  std::vector<TsPrefixTree> shards;
+  shards.reserve(num_shards);
+  for (size_t k = 0; k < num_shards; ++k) shards.emplace_back(items_by_rank);
+  std::vector<std::vector<uint32_t>> first_touch(num_shards);
+  std::vector<size_t> reported(num_shards, 0);
+  const auto release_reported = [&] {
+    if (budget == nullptr) return;
+    size_t total = 0;
+    for (size_t bytes : reported) total += bytes;
+    budget->ReleaseTrackedBytes(total);
   };
   std::function<bool()> should_stop;
   if (budget != nullptr) {
     should_stop = [budget] { return budget->stop_requested(); };
   }
-  const size_t participants = ParallelFor(
-      partitions, partitions,
-      [&](size_t, size_t p) {
-        reported[p] =
-            InsertTransactionRange(db, rank_of, partition_begin(p),
-                                   partition_begin(p + 1), budget,
-                                   &partials[p]);
-      },
-      should_stop);
-  if (stats != nullptr) {
-    stats->threads_used = std::max<size_t>(participants, 1);
+  size_t participants = 0;
+  try {
+    participants = ParallelFor(
+        num_shards, num_shards,
+        [&](size_t, size_t k) {
+          InsertShard(db, rank_of, num_shards > 1 ? &lowest_rank : nullptr,
+                      shard_begin[k], shard_begin[k + 1], budget, &shards[k],
+                      num_shards > 1 ? &first_touch[k] : nullptr,
+                      &reported[k]);
+        },
+        should_stop);
+  } catch (...) {
+    release_reported();
+    throw;
   }
 
-  // Fold the partials into partition 0's trie, in partition order (the
-  // correctness argument lives in rp_tree.h / DESIGN.md §8.3). The master
-  // grows by the duplicated interior nodes and the moved ts-lists; report
-  // that growth against the budget too — during the fold both the master
-  // and the not-yet-absorbed partials are genuinely live. Checkpoint per
-  // fold step: a build stopped mid-fold is partial and gets discarded by
-  // the caller, exactly like one stopped mid-scan.
-  Stopwatch merge_watch;
-  BudgetCheckpointer checkpoint(budget);
-  TsPrefixTree tree = std::move(partials[0]);
-  size_t merge_reported = 0;
-  size_t folded = 0;
-  size_t folded_nodes = 0;
-  for (size_t p = 1; p < partitions; ++p) {
-    if (checkpoint.Check()) break;  // Partial build; the caller discards.
-    folded_nodes += partials[p].NodeCount();
-    const size_t before = tree.ApproxBytes();
-    tree.MergeAppendFrom(std::move(partials[p]));
-    ++folded;
-    if (budget != nullptr) {
-      const size_t after = tree.ApproxBytes();
-      if (after > before) {
-        budget->AddTrackedBytes(after - before);  // May trip memory.
-        merge_reported += after - before;
-      }
-    }
-  }
-  if (budget != nullptr) {
-    size_t total = merge_reported;
-    for (size_t bytes : reported) total += bytes;
-    budget->ReleaseTrackedBytes(total);
-  }
+  // A build stopped inside a shard is spliced all the same; the partial
+  // tree is the caller's to discard.
+  Stopwatch splice_watch;
+  TsPrefixTree tree =
+      TsPrefixTree::Splice(std::move(shards), first_touch, threads);
+  // Net the build-time accounting back out (the peak was captured); the
+  // caller re-tracks the finished tree for its mining phase.
+  release_reported();
   if (stats != nullptr) {
-    stats->partials_merged = folded;
-    stats->merged_nodes = folded_nodes;
-    stats->merge_seconds = merge_watch.ElapsedSeconds();
+    stats->threads_used = std::max<size_t>(participants, 1);
+    if (num_shards > 1) {
+      stats->partials_merged = num_shards - 1;
+      stats->merge_seconds = splice_watch.ElapsedSeconds();
+    }
   }
   return tree;
 }

@@ -55,11 +55,12 @@ struct RpGrowthOptions {
   /// sink this caps memory at O(tree).
   bool store_patterns = true;
   /// Worker threads: 0 = one per hardware thread, N = exactly N. The
-  /// RP-list scan is always sequential; the initial RP-tree build
-  /// partitions the transactions across this many workers (see
-  /// BuildRankedTree). Mining projects each suffix item's conditional
-  /// database out of the unmodified tree and mines the projections on
-  /// this many workers (1 = all on the calling thread). The pattern set,
+  /// RP-list scan is always sequential; the initial RP-tree build shards
+  /// the transactions by lowest candidate rank across this many workers
+  /// (see BuildRankedTree). Mining lays the tree's ts-lists out on this
+  /// many workers, then projects each suffix item's conditional database
+  /// out of the unmodified tree and mines the projections on them too
+  /// (1 = all on the calling thread). The pattern set,
   /// its canonical order and all stats counters are identical for every
   /// value. `sink` callbacks are serialized (never concurrent), but their
   /// *order* is only deterministic at num_threads == 1.
@@ -107,13 +108,16 @@ struct RpGrowthStats {
   /// at one worker).
   size_t scratch_bytes_total = 0;
   // RP-tree construction (see TreeBuildStats):
-  size_t tree_build_threads = 1;    ///< Workers that built partial tries.
-  size_t tree_partials_merged = 0;  ///< Partials folded in (0 = sequential).
-  double tree_merge_seconds = 0.0;  ///< Wall clock of the partial-trie fold.
+  size_t tree_build_threads = 1;    ///< Workers that built shards.
+  size_t tree_partials_merged = 0;  ///< Shards spliced after the first.
+  double tree_merge_seconds = 0.0;  ///< Wall clock of the shard splice.
   double list_seconds = 0.0;        ///< Wall clock of the RP-list scan.
   double tree_seconds = 0.0;        ///< Wall clock of RP-tree construction.
   /// Wall clock of the mining phase (preorder layout + workers).
   double mine_seconds = 0.0;
+  /// Wall clock of the preorder ts-list layout, the part of mine_seconds
+  /// spent before any subproblem is projected.
+  double layout_seconds = 0.0;
   /// Mining time summed across workers. Equals mine_seconds on one
   /// thread; exceeds it under parallelism (the ratio is the effective
   /// mining-phase speedup).
@@ -172,17 +176,17 @@ RpGrowthResult MineRecurringPatterns(const TransactionDatabase& db,
 // serial sweep.
 
 /// Instrumentation of one RP-tree construction, folded into the tree_*
-/// fields of RpGrowthStats.
+/// fields of RpGrowthStats. The field names predate the shard build and
+/// are kept for the benchmark readers that key on them.
 struct TreeBuildStats {
-  size_t threads_used = 1;   ///< Workers that actually built partial tries.
-  /// Partition-local tries folded into the master (0 for a sequential
-  /// build, which constructs the master directly).
+  size_t threads_used = 1;   ///< Workers that actually built shards.
+  /// Shards spliced after the first (0 for a one-shard build, which is
+  /// returned as built).
   size_t partials_merged = 0;
-  /// Nodes visited by the fold — the sum of the absorbed partials' node
-  /// counts, duplicates included (the fold's cost measure; the master's
-  /// final NodeCount() is what PreparedMining::initial_tree_nodes holds).
+  /// Always 0: the splice re-inserts no node (it counted the nodes the
+  /// partial-trie fold it replaced visited).
   size_t merged_nodes = 0;
-  double merge_seconds = 0.0;  ///< Wall clock of the fold phase.
+  double merge_seconds = 0.0;  ///< Wall clock of the splice.
 };
 
 /// Query-independent mining state: the RP-list and the built (unmined)
@@ -231,17 +235,23 @@ PreparedMining PrepareMining(const TransactionDatabase& db,
 /// re-tracks the finished tree for the mining phase); a stopped build
 /// returns a partial tree the caller must discard.
 ///
-/// `num_threads` > 1 (0 = hardware) partitions the transactions into
-/// contiguous ranges, builds one partial trie per range on the worker
-/// pool, and folds the partials into the first partition's trie in
-/// partition order. The result is observably identical to the sequential
-/// build: node-link chains reproduce the sequential first-touch order and
-/// every node's ts-list is the same database-order concatenation (only
-/// internal Node::seq values and sibling-list order differ; nothing reads
-/// either — see DESIGN.md §8.3). Budget checkpoints cover every partial
-/// and every fold step, and each worker reports its partial's growth, so
-/// governance semantics carry over. `stats`, when non-null, receives the
-/// build's instrumentation.
+/// The build runs as root-rank shards on `num_threads` workers (0 =
+/// hardware; one shard per worker, one in all for databases under 512
+/// transactions): shard k owns a contiguous range of lowest candidate
+/// ranks, balanced by the candidate length of the transactions starting
+/// there, and inserts exactly those transactions, in database order, into
+/// its own tree — so no two shards share a node. TsPrefixTree::Splice
+/// then merges the shards' node-link chains in parallel over ranks, by
+/// the index of the transaction that created each node. The result is
+/// observably identical to the one-shard build: chains keep the
+/// sequential first-touch order and every node's ts-list is the same
+/// database-order concatenation (only internal Node::seq values and the
+/// root's sibling order differ; nothing reads either — see DESIGN.md
+/// §8.3). Each shard checkpoints the budget per transaction and reports
+/// its tree's growth; a stop inside any shard leaves a partial build. If
+/// an insert throws (the "rptree.alloc" failpoint), the reported bytes
+/// are released before the exception propagates. `stats`, when non-null,
+/// receives the build's instrumentation.
 TsPrefixTree BuildRankedTree(const TransactionDatabase& db,
                              const std::vector<ItemId>& items_by_rank,
                              QueryBudget* budget = nullptr,

@@ -6,6 +6,7 @@
 
 #include "rpm/common/failpoint.h"
 #include "rpm/common/logging.h"
+#include "rpm/core/thread_pool.h"
 
 namespace rpm {
 
@@ -103,30 +104,75 @@ TsPrefixTree TsPrefixTree::Clone() const {
   return copy;
 }
 
-void TsPrefixTree::MergeAppendFrom(TsPrefixTree&& other) {
-  RPM_DCHECK(other.items_by_rank_ == items_by_rank_);
-  // Same ascending-rank chain walk as Clone(), for the same reason: paths
-  // carry strictly ascending ranks, so every node's parent is mapped
-  // before the node itself. target_of is the other-seq -> master-node map.
-  std::vector<Node*> target_of(other.next_seq_, nullptr);
-  target_of[other.root_->seq] = root_;
-  for (size_t rank = 0; rank < other.heads_.size(); ++rank) {
-    for (Node* n = other.heads_[rank]; n != nullptr; n = n->next_link) {
-      Node* node =
-          GetOrCreateChild(target_of[n->parent->seq], n->rank);
-      target_of[n->seq] = node;
-      if (n->ts_list.empty()) continue;
-      if (node->ts_list.empty()) {
-        node->ts_list = std::move(n->ts_list);
-      } else {
-        node->ts_list.insert(node->ts_list.end(), n->ts_list.begin(),
-                             n->ts_list.end());
-      }
-      n->ts_list.clear();
-    }
+TsPrefixTree TsPrefixTree::Splice(
+    std::vector<TsPrefixTree> shards,
+    const std::vector<std::vector<uint32_t>>& first_touch,
+    size_t num_threads) {
+  RPM_CHECK(!shards.empty() && first_touch.size() == shards.size());
+  if (shards.size() == 1) return std::move(shards[0]);
+  const size_t num_shards = shards.size();
+  const size_t num_ranks = shards[0].num_ranks();
+  std::vector<uint32_t> seq_offset(num_shards + 1, 0);
+  for (size_t k = 0; k < num_shards; ++k) {
+    RPM_DCHECK(shards[k].items_by_rank_ == shards[0].items_by_rank_);
+    seq_offset[k + 1] = seq_offset[k] + shards[k].next_seq_;
   }
-  timestamp_count_ += other.timestamp_count_;
-  other.timestamp_count_ = 0;
+  Node* const root = shards[0].root_;
+
+  // Each rank's chain is merged by one task and only its own nodes are
+  // written (seq, parent, next_link), so tasks never share a node. A
+  // transaction creates at most one node per rank, so the keys of one
+  // rank are distinct across all shards.
+  std::vector<Node*> heads(num_ranks, nullptr);
+  std::vector<Node*> tails(num_ranks, nullptr);
+  ParallelFor(num_ranks, num_threads, [&](size_t, size_t rank) {
+    std::vector<Node*> cursor(num_shards);
+    for (size_t k = 0; k < num_shards; ++k) cursor[k] = shards[k].heads_[rank];
+    Node* tail = nullptr;
+    while (true) {
+      size_t pick = num_shards;
+      uint32_t pick_key = 0;
+      for (size_t k = 0; k < num_shards; ++k) {
+        if (cursor[k] == nullptr) continue;
+        const uint32_t key = first_touch[k][cursor[k]->seq];
+        if (pick == num_shards || key < pick_key) {
+          pick = k;
+          pick_key = key;
+        }
+      }
+      if (pick == num_shards) break;
+      Node* n = cursor[pick];
+      cursor[pick] = n->next_link;
+      if (n->parent == shards[pick].root_) n->parent = root;
+      n->seq += seq_offset[pick];
+      if (tail == nullptr) {
+        heads[rank] = n;
+      } else {
+        tail->next_link = n;
+      }
+      tail = n;
+    }
+    if (tail != nullptr) tail->next_link = nullptr;
+    tails[rank] = tail;
+  });
+
+  TsPrefixTree tree = std::move(shards[0]);
+  tree.heads_ = std::move(heads);
+  tree.chain_tails_ = std::move(tails);
+  // The root's children: each shard's list appended after the previous.
+  Node** slot = &root->first_child;
+  while (*slot != nullptr) slot = &(*slot)->next_sibling;
+  for (size_t k = 1; k < num_shards; ++k) {
+    TsPrefixTree& shard = shards[k];
+    *slot = shard.root_->first_child;
+    shard.root_->first_child = nullptr;
+    while (*slot != nullptr) slot = &(*slot)->next_sibling;
+    tree.live_nodes_ += shard.live_nodes_;
+    tree.timestamp_count_ += shard.timestamp_count_;
+    tree.arena_.Adopt(std::move(shard.arena_));
+  }
+  tree.next_seq_ = seq_offset[num_shards];
+  return tree;
 }
 
 TsPrefixTree::RetireStats TsPrefixTree::RetireBefore(Timestamp cutoff) {

@@ -13,9 +13,9 @@
 // timestamps followed by its children's accumulated lists in descending
 // child rank — exactly the node's span in a preorder layout of every
 // ts-list (children visited by descending rank). TsPreorderLayout
-// (core/projection.h) builds that layout once over an unmined tree, which
-// lets the miner read every node's push-up accumulation without
-// consuming, or cloning, the tree.
+// (core/projection.h) builds that layout once over an unmined tree, one
+// root-child subtree per task, which lets the miner read every node's
+// push-up accumulation without consuming, or cloning, the tree.
 //
 // The structure is shared by RP-growth and the PF-growth++ baseline; the
 // two differ only in the measures/pruning applied to collected ts-lists.
@@ -34,7 +34,8 @@
 namespace rpm {
 
 /// Prefix tree keyed by item *rank* (0 = first item of the tree's order).
-/// Owns its nodes via an arena (bump-allocated, bulk-freed with the tree);
+/// Owns its nodes via an arena (bump-allocated, bulk-freed with the tree;
+/// a spliced tree's arena has adopted the shards' nodes);
 /// not copyable (conditional-tree mining mutates it in place) — the
 /// top-level miner reads a shared build through TsPreorderLayout, and an
 /// independent copy goes through Clone().
@@ -42,10 +43,11 @@ class TsPrefixTree {
  public:
   struct Node {
     uint32_t rank = 0;
-    /// Dense per-tree creation index (root = 0, below NodeSeqBound()).
-    /// Lets Clone() map original nodes to copies, and TsPreorderLayout
-    /// index its per-node spans, through a flat vector instead of a hash
-    /// map; lives in the padding after `rank`, so it costs no space.
+    /// Per-tree node index (root = 0, below NodeSeqBound()): creation
+    /// order, offset per shard in a spliced tree, never reused. Lets
+    /// Clone() map original nodes to copies, and TsPreorderLayout index
+    /// its per-node spans, through a flat vector instead of a hash map;
+    /// lives in the padding after `rank`, so it costs no space.
     uint32_t seq = 0;
     Node* parent = nullptr;
     Node* next_link = nullptr;  // Chain of nodes with the same rank.
@@ -84,6 +86,10 @@ class TsPrefixTree {
   /// (conditional-tree construction). Lists of coinciding paths merge.
   void InsertPath(const std::vector<uint32_t>& ranks,
                   std::span<const Timestamp> ts_list);
+
+  /// The root ("null" label): no rank, no timestamps; its children head
+  /// the tree's root-child subtrees.
+  const Node* root() const { return root_; }
 
   /// Head of the node-link chain for `rank` (nullptr when absent).
   const Node* HeadOfRank(size_t rank) const { return heads_[rank]; }
@@ -141,18 +147,23 @@ class TsPrefixTree {
   /// from several threads on the same (unmutated) tree.
   TsPrefixTree Clone() const;
 
-  /// Folds `other` (same rank order, consumed) into this tree: every node
-  /// of `other` maps onto this tree's node with the same root path
-  /// (created when absent, via the same chain-appending GetOrCreateChild
-  /// the builders use) and its ts-list is appended — moved when the target
-  /// list is empty. The parallel tree build absorbs partition-local
-  /// partial tries with this, in partition order; because chains only grow
-  /// at node creation, the master's chain order after all folds equals the
-  /// sequential build's first-touch order, and each node's ts-list is the
-  /// identical database-order concatenation. Like the builders, may throw
-  /// under the "rptree.alloc" failpoint; `other` is unusable afterwards
-  /// either way.
-  void MergeAppendFrom(TsPrefixTree&& other);
+  /// Splices root-sharded trees (same rank order, consumed) into one.
+  /// Each shard holds the transactions whose lowest rank falls in its own
+  /// range, inserted in database order, so no root child — and no node
+  /// below one — exists in two shards. `first_touch[k][s]` is the database
+  /// index of the transaction that created shard k's node with seq s.
+  /// Every node-link chain of the result is the k-way merge of the shard
+  /// chains by that index: the sequential build's first-touch order, so
+  /// the result is observably identical to inserting every transaction
+  /// into one tree (only Node::seq values, offset per shard, and the
+  /// root's sibling order differ; nothing reads either). Chains merge in
+  /// parallel over ranks on `num_threads` workers. No node is copied:
+  /// the result's arena adopts the shard arenas' chunks, and shard 0's
+  /// root is its root.
+  static TsPrefixTree Splice(
+      std::vector<TsPrefixTree> shards,
+      const std::vector<std::vector<uint32_t>>& first_touch,
+      size_t num_threads);
 
   /// Outcome of a RetireBefore sweep.
   struct RetireStats {
@@ -165,7 +176,7 @@ class TsPrefixTree {
   /// expiry sweep of the windowed miner (DESIGN.md §9). Filtering keeps
   /// relative order, so each surviving list is still a concatenation of
   /// sorted runs and node-link chains keep their original order (the
-  /// determinism contract of Clone/MergeAppendFrom). Like PushUpAndRemove,
+  /// determinism contract of Clone/Splice). Like PushUpAndRemove,
   /// retired nodes stay in the arena until the tree dies; the windowed
   /// miner's per-delta trees are transient, so the slabs are reclaimed at
   /// the end of every delta, and long-lived trees are rebuilt by its
@@ -192,7 +203,9 @@ class TsPrefixTree {
   Node* GetOrCreateChild(Node* parent, uint32_t rank);
 
   std::vector<ItemId> items_by_rank_;
-  Arena<Node> arena_;  // Stable addresses; owns root_ and all nodes.
+  /// Stable addresses; owns root_ and every node, including those of the
+  /// shards a Splice adopted.
+  Arena<Node> arena_;
   Node* root_ = nullptr;
   std::vector<Node*> heads_;
   std::vector<Node*> chain_tails_;  // O(1) chain append.

@@ -104,6 +104,7 @@ void PrintMineSummary(const Query& query, const QueryResult& result,
         << result.stats.mine_seconds << "s wall / "
         << result.stats.mine_cpu_seconds << "s cpu]";
   }
+  err << " [layout " << result.stats.layout_seconds << "s]";
   err << " [merge " << result.stats.merge_invocations << " calls / "
       << result.stats.runs_merged << " runs / "
       << result.stats.timestamps_merged << " ts, scratch peak "
@@ -120,7 +121,7 @@ void PrintMineSummary(const Query& query, const QueryResult& result,
   err << "]";
   if (result.stats.tree_build_threads > 1) {
     err << " [tree build " << result.stats.tree_build_threads << " threads, "
-        << result.stats.tree_partials_merged << " partials folded in "
+        << result.stats.tree_partials_merged << " shards spliced in "
         << result.stats.tree_merge_seconds << "s]";
   }
   if (result.tree_reused) err << " [tree reused]";

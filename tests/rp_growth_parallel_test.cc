@@ -335,8 +335,9 @@ void ExpectSameProjection(const SweptProjection& want,
 
 /// ProjectRank over a const tree must equal the consuming sweep for every
 /// rank — paths, ts-lists, TS^item and merge counters — on trees built at
-/// one and at four build threads (the fold reorders sibling lists; the
-/// layout must not care), and must leave the tree untouched. The
+/// one and at four build threads (the splice reorders the root's sibling
+/// list; the layout must not care), through layouts built by one and by
+/// four workers, and must leave the tree untouched. The
 /// ProjectSuffixItems wrapper must agree too.
 void ExpectProjectRankMatchesSweep(const TransactionDatabase& db,
                                    const RpParams& params) {
@@ -353,27 +354,32 @@ void ExpectProjectRankMatchesSweep(const TransactionDatabase& db,
         ConsumingSweep(&swept, &want_counters);
     ASSERT_FALSE(want.empty());
 
-    const TsPreorderLayout layout(tree);
-    ProjectionScratch scratch;
-    MergeCounters got_counters;
-    SuffixProjection got;  // Reused across ranks, as a worker does.
-    size_t next = 0;
-    for (size_t rank = tree.num_ranks(); rank-- > 0;) {
-      if (!ProjectRank(tree, layout, rank, &got, &scratch, &got_counters)) {
-        EXPECT_EQ(layout.RankTimestampCount(rank), 0u);
-        continue;
+    for (size_t layout_threads : {1u, 4u}) {
+      SCOPED_TRACE(::testing::Message() << "layout_threads="
+                                        << layout_threads);
+      const TsPreorderLayout layout(tree, layout_threads);
+      ProjectionScratch scratch;
+      MergeCounters got_counters;
+      SuffixProjection got;  // Reused across ranks, as a worker does.
+      size_t next = 0;
+      for (size_t rank = tree.num_ranks(); rank-- > 0;) {
+        if (!ProjectRank(tree, layout, rank, &got, &scratch, &got_counters)) {
+          EXPECT_EQ(layout.RankTimestampCount(rank), 0u);
+          continue;
+        }
+        ASSERT_LT(next, want.size());
+        ExpectSameProjection(want[next++], got);
+        EXPECT_EQ(layout.RankTimestampCount(rank), got.ts_beta.size());
       }
-      ASSERT_LT(next, want.size());
-      ExpectSameProjection(want[next++], got);
-      EXPECT_EQ(layout.RankTimestampCount(rank), got.ts_beta.size());
+      EXPECT_EQ(next, want.size());
+      EXPECT_EQ(got_counters.merge_invocations,
+                want_counters.merge_invocations);
+      EXPECT_EQ(got_counters.runs_merged, want_counters.runs_merged);
+      EXPECT_EQ(got_counters.timestamps_merged,
+                want_counters.timestamps_merged);
+      EXPECT_EQ(tree.NodeCount(), nodes);
+      EXPECT_EQ(tree.TimestampCount(), timestamps);
     }
-    EXPECT_EQ(next, want.size());
-    EXPECT_EQ(got_counters.merge_invocations, want_counters.merge_invocations);
-    EXPECT_EQ(got_counters.runs_merged, want_counters.runs_merged);
-    EXPECT_EQ(got_counters.timestamps_merged,
-              want_counters.timestamps_merged);
-    EXPECT_EQ(tree.NodeCount(), nodes);
-    EXPECT_EQ(tree.TimestampCount(), timestamps);
 
     TsPrefixTree wrapped = tree.Clone();
     const std::vector<SuffixProjection> projections =
